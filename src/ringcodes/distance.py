@@ -7,6 +7,11 @@ together with 0 (the 0 covers pairs inside one coset; orientation of each
 difference is irrelevant because x and -x share a weight).  Decoding a
 received word x within radius floor((d-1)/2) searches error vectors y by
 increasing weight until H(x - y)^T hits a column of S.
+
+Both searches return the first hit in weight-shell order.  They run on the
+system's cached reachability tables over R^m (see reach.py) when those fit
+in DEFAULT_BUDGET bytes, and otherwise list the weight shells of R^n; both
+routes give the same answers.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .pcs import ParityCheckSystem
-from .rings import RingSpec, RingVec, vec_sub, zero_vec
+from .rings import RingSpec, RingVec, vec_neg, vec_sub, zero_vec
 
 
 class DegenerateCode(Exception):
@@ -86,9 +91,25 @@ def min_distance_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:
 
     The witness is a nonzero vector of minimal weight whose syndrome lies in
     S^diff; shell order makes it a deterministic function of the system.
+    The search runs on the system's reachability tables unless they would
+    outgrow DEFAULT_BUDGET bytes; then it lists the weight shells.
     """
     if pcs.s == 1 and pcs.kernel_module.cardinality == 1:
         raise DegenerateCode("the code has exactly one word")
+    space = pcs.syndrome_space()
+    if space is None:
+        return _shell_witness(pcs)
+    # x with 0 - H x^T in -S^diff, i.e. H x^T in S^diff
+    table = space.table(vec_neg(v) for v in sdiff(pcs).elements)
+    zero = space.index(zero_vec(pcs.spec, pcs.m))
+    for w in range(1, pcs.n + 1):
+        if table.reaches(zero, w):
+            return w, table.first(zero, w)
+    raise AssertionError("unreachable: two distinct words differ somewhere")
+
+
+def _shell_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:
+    """min_distance_witness by listing the weight shells of R^n."""
     diffs = sdiff(pcs)
     for w in range(1, pcs.n + 1):
         for x in weight_shell(pcs.spec, pcs.n, w):
@@ -109,22 +130,39 @@ def decode(
     min_dist may be passed to skip the distance computation.  Within the
     radius floor((d-1)/2) the nearest codeword is unique, so the first
     error vector found in shell order is the answer.  Outside it, raises
-    BeyondRadius.
+    BeyondRadius.  The route is chosen as in min_distance_witness.
     """
     if x.spec != pcs.spec or len(x) != pcs.n:
         raise ValueError("received word does not match the ambient space")
     d = min_distance(pcs) if min_dist is None else min_dist
     radius = (d - 1) // 2
     sx = pcs.syndrome(x)
-    lookup = pcs.syndrome_to_col
+    space = pcs.syndrome_space()
+    if space is None:
+        errors = _shell_errors(pcs, radius)
+    else:
+        # y with H x^T - H y^T a column of S
+        table = space.table(pcs.s_cols)
+        rho = space.index(sx)
+        errors = (
+            (w, table.first(rho, w))
+            for w in range(min(radius, pcs.n) + 1)
+            if table.reaches(rho, w)
+        )
+    for w, y in errors:
+        j = pcs.syndrome_to_col.get(vec_sub(sx, pcs.syndrome(y)))
+        if j is not None:
+            return DecodeResult(
+                codeword=vec_sub(x, y),
+                coset_index=j,
+                error_vector=y,
+                error_weight=w,
+            )
+    raise BeyondRadius(x, radius)
+
+
+def _shell_errors(pcs: ParityCheckSystem, radius: int) -> Iterator[tuple[int, RingVec]]:
+    """Every error vector of weight at most radius, in shell order."""
     for w in range(radius + 1):
         for y in weight_shell(pcs.spec, pcs.n, w):
-            j = lookup.get(vec_sub(sx, pcs.syndrome(y)))
-            if j is not None:
-                return DecodeResult(
-                    codeword=vec_sub(x, y),
-                    coset_index=j,
-                    error_vector=y,
-                    error_weight=w,
-                )
-    raise BeyondRadius(x, radius)
+            yield w, y

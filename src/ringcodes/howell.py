@@ -136,6 +136,19 @@ class HowellForm:
     def contains(self, v) -> bool:
         return self.express(v) is not None
 
+    def solve(self, v) -> Optional[np.ndarray]:
+        """One x with x @ source = v (mod t), free directions zeroed, or None.
+
+        x is the greedy coefficients times the transform.  Each product is
+        reduced mod t before summing: a product is below t^2 < 2^62, but a
+        sum of several such products would overflow int64.
+        """
+        coeffs = self.express(v)
+        if coeffs is None:
+            return None
+        t = self.modulus
+        return (coeffs[:, None] * self.transform % t).sum(axis=0) % t
+
     def enumerate_span(self) -> Iterator[np.ndarray]:
         """All span elements exactly once, coefficient odometer order."""
         t = self.modulus
@@ -220,10 +233,4 @@ def solve_rowspan(mat, b, t: int) -> Optional[np.ndarray]:
     The free directions are left at zero: the returned x is coeffs @ transform
     for the canonical greedy coefficients, with no kernel component added.
     """
-    hf = howell_form(mat, t)
-    coeffs = hf.express(b)
-    if coeffs is None:
-        return None
-    if len(coeffs) == 0:
-        return np.zeros(hf.source_rows, dtype=np.int64)
-    return (coeffs @ hf.transform) % t
+    return howell_form(mat, t).solve(b)

@@ -21,7 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .reach import SyndromeSpace
 from .rings import (
+    DEFAULT_BUDGET,
     RingElem,
     RingSpec,
     RingVec,
@@ -108,6 +110,7 @@ class ParityCheckSystem:
         self._row_module: Optional[Submodule] = None
         self._kernel_module: Optional[Submodule] = None
         self._h_forms = None
+        self._syndrome_space: Optional[SyndromeSpace] = None
 
     @property
     def row_module(self) -> Submodule:
@@ -124,6 +127,14 @@ class ParityCheckSystem:
         if self._kernel_module is None:
             self._kernel_module = self.row_module.annihilator()
         return self._kernel_module
+
+    def syndrome_space(self) -> Optional[SyndromeSpace]:
+        """The cached reachability tables, or None above DEFAULT_BUDGET bytes."""
+        if SyndromeSpace.nbytes(self.spec, self.m, self.n) > DEFAULT_BUDGET:
+            return None
+        if self._syndrome_space is None:
+            self._syndrome_space = SyndromeSpace(self.spec, self.h_rows)
+        return self._syndrome_space
 
     def syndrome(self, x: RingVec) -> RingVec:
         if x.spec != self.spec or len(x) != self.n:
@@ -150,15 +161,11 @@ class ParityCheckSystem:
                 for f, t in enumerate(self.spec.factors)
             )
         parts = []
-        for f, t in enumerate(self.spec.factors):
-            hf = self._h_forms[f]
-            coeffs = hf.express(np.array(x.component(f), dtype=np.int64))
-            if coeffs is None:
+        for f, hf in enumerate(self._h_forms):
+            r = hf.solve(x.component(f))
+            if r is None:
                 return None
-            if len(coeffs):
-                parts.append((coeffs @ hf.transform) % t)
-            else:
-                parts.append(np.zeros(self.m, dtype=np.int64))
+            parts.append(r)
         return from_components(self.spec, parts)
 
     def code_cardinality(self) -> int:
@@ -311,29 +318,25 @@ def kernel(pcs: ParityCheckSystem) -> Submodule:
     """The kernel of the code: {y : r y + c stays in the code for all r, c}.
 
     Work happens on the finite syndrome side.  A syndrome sigma belongs to
-    the kernel of col(S) when r sigma + col(S) = col(S) for every scalar r;
-    candidates are narrowed to the column differences shared by every
-    column before the full scalar scan.  Each surviving sigma is pulled
-    back through one solve, and those pullbacks together with D generate
-    the kernel.
+    the kernel of col(S) when r sigma + col(S) = col(S) for every scalar r.
+    The r = 1 case makes sigma a member of the additive stabiliser of
+    col(S), the column differences shared by every column.  That is a
+    group, and r sigma is an integer combination of the e_f sigma for the
+    factor idempotents e_f, so it is enough that every e_f sigma lies in
+    the stabiliser too.  Each surviving sigma is pulled back through one
+    solve, and those pullbacks together with D generate the kernel.
     """
     spec = pcs.spec
     cols = list(pcs.s_cols)
-    colset = set(cols)
-    candidates = {vec_sub(c, cols[0]) for c in cols}
+    stabiliser = {vec_sub(c, cols[0]) for c in cols}
     for base in cols[1:]:
-        candidates &= {vec_sub(c, base) for c in cols}
-    scalars = spec.elements()
-    kernel_syndromes = []
-    for sigma in sorted(candidates, key=lambda v: v.coords):
-        ok = True
-        for r in scalars:
-            shifted = {vec_add(scale(r, sigma), c) for c in cols}
-            if shifted != colset:
-                ok = False
-                break
-        if ok:
-            kernel_syndromes.append(sigma)
+        stabiliser &= {vec_sub(c, base) for c in cols}
+    idempotents = _factor_idempotents(spec)
+    kernel_syndromes = [
+        sigma
+        for sigma in sorted(stabiliser, key=lambda v: v.coords)
+        if all(scale(e, sigma) in stabiliser for e in idempotents)
+    ]
     gens = list(pcs.kernel_module.canonical_generators())
     for sigma in kernel_syndromes:
         x = solve_right(pcs.h_rows, sigma)
@@ -343,16 +346,24 @@ def kernel(pcs: ParityCheckSystem) -> Submodule:
     return Submodule.from_generators(spec, pcs.n, tuple(gens))
 
 
+def _factor_idempotents(spec: RingSpec) -> list[RingElem]:
+    """The e_f that are 1 in factor f and 0 in every other factor."""
+    k = spec.nfactors
+    return [spec.elem([int(g == f) for g in range(k)]) for f in range(k)]
+
+
 def is_linear(pcs: ParityCheckSystem) -> bool:
-    """Whether the code is a submodule: col(S) closed under + and scalars."""
+    """Whether the code is a submodule: col(S) closed under + and scalars.
+
+    A finite set closed under + is a group, and r a is an integer
+    combination of the e_f a, so the factor idempotents stand in for all
+    scalars.
+    """
     cols = pcs.s_cols
     colset = set(cols)
     for a in cols:
         for b in cols:
             if vec_add(a, b) not in colset:
                 return False
-    for r in pcs.spec.elements():
-        for a in cols:
-            if scale(r, a) not in colset:
-                return False
-    return True
+    idempotents = _factor_idempotents(pcs.spec)
+    return all(scale(e, a) in colset for e in idempotents for a in cols)

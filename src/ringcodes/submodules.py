@@ -179,11 +179,9 @@ def solve_right(rows: Sequence[RingVec], b: RingVec) -> Optional[RingVec]:
     parts = []
     for f, t in enumerate(spec.factors):
         mat = factor_matrix(spec, rows, f, n)
-        hf = howell_form(mat.T.copy(), t)
-        coeffs = hf.express(np.array(b.component(f), dtype=np.int64))
-        if coeffs is None:
+        x = howell_form(mat.T.copy(), t).solve(b.component(f))
+        if x is None:
             return None
-        x = (coeffs @ hf.transform) % t if len(coeffs) else np.zeros(n, dtype=np.int64)
         parts.append(x)
     return from_components(spec, parts)
 
@@ -200,10 +198,8 @@ def solve_left(rows: Sequence[RingVec], x: RingVec) -> Optional[RingVec]:
     parts = []
     for f, t in enumerate(spec.factors):
         mat = factor_matrix(spec, rows, f, n)
-        hf = howell_form(mat, t)
-        coeffs = hf.express(np.array(x.component(f), dtype=np.int64))
-        if coeffs is None:
+        r = howell_form(mat, t).solve(x.component(f))
+        if r is None:
             return None
-        r = (coeffs @ hf.transform) % t if len(coeffs) else np.zeros(m, dtype=np.int64)
         parts.append(r)
     return from_components(spec, parts)

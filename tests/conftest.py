@@ -14,6 +14,7 @@ from ringcodes import (
     Submodule,
     code_to_pcs,
     parse_ring,
+    scale,
     validate_pcs,
     vec_sub,
 )
@@ -61,6 +62,15 @@ def random_vec(rng: random.Random, spec: RingSpec, n: int) -> RingVec:
     )
 
 
+def random_space(rng: random.Random, rings, max_n: int, space_cap: int):
+    """A random ring from rings and a length n with |R|^n <= space_cap."""
+    while True:
+        spec = parse_ring(rng.choice(rings))
+        n = rng.randint(1, max_n)
+        if spec.cardinality**n <= space_cap:
+            return spec, n
+
+
 def random_instance(
     rng: random.Random,
     rings=PROPERTY_RINGS,
@@ -74,11 +84,7 @@ def random_instance(
     Returns (pcs, pres).  The presentation is valid by construction, so
     code_to_pcs yields a valid system; sizes are capped for test speed.
     """
-    while True:
-        spec = parse_ring(rng.choice(rings))
-        n = rng.randint(1, max_n)
-        if spec.cardinality**n <= space_cap:
-            break
+    spec, n = random_space(rng, rings, max_n, space_cap)
     gens = [random_vec(rng, spec, n) for _ in range(rng.randint(0, max_gens))]
     kernel = Submodule.from_generators(spec, n, gens)
     quotient = spec.cardinality**n // kernel.cardinality
@@ -92,6 +98,27 @@ def random_instance(
             reps.append(cand)
     pres = CodePresentation(kernel, tuple(reps))
     return code_to_pcs(pres), pres
+
+
+def random_linear_instance(
+    rng: random.Random, rings=PROPERTY_RINGS, max_n: int = 4, space_cap: int = 1500
+):
+    """A random system whose code D + R g is linear, presented as cosets of D.
+
+    The representatives are the multiples c g, one per coset of D, so the
+    system has up to |R| syndrome columns.
+    """
+    spec, n = random_space(rng, rings, max_n, space_cap)
+    kernel = Submodule.from_generators(
+        spec, n, [random_vec(rng, spec, n) for _ in range(rng.randint(0, 2))]
+    )
+    g = random_vec(rng, spec, n)
+    reps: list[RingVec] = []
+    for c in spec.elements():
+        cand = scale(c, g)
+        if all(not kernel.contains(vec_sub(cand, d)) for d in reps):
+            reps.append(cand)
+    return code_to_pcs(CodePresentation(kernel, tuple(reps)))
 
 
 def code_words(pres: CodePresentation) -> set[RingVec]:

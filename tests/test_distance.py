@@ -22,11 +22,14 @@ from ringcodes import (
     sdiff,
     validate_pcs,
     vec_add,
+    vec_sub,
     weight,
     weight_shell,
     zero_vec,
 )
-from conftest import Z6, random_instance, rv
+from ringcodes.distance import DecodeResult, _shell_errors, _shell_witness
+from ringcodes.reach import ReachTable, SyndromeSpace
+from conftest import Z6, random_instance, random_linear_instance, rv
 
 
 def test_sdiff_golden(z6_pcs):
@@ -67,6 +70,7 @@ def test_min_distance_golden(z6_pcs):
     d, witness = min_distance_witness(z6_pcs)
     assert d == 2
     assert witness == rv(Z6, (1, 4, 0, 0))  # first hit in shell order
+    assert _shell_witness(z6_pcs) == (d, witness)
     assert weight(witness) == 2
     assert z6_pcs.syndrome(witness) in sdiff(z6_pcs)
     assert min_distance(z6_pcs) == 2
@@ -202,3 +206,90 @@ def test_witness_is_deterministic(z6_pcs):
     a = min_distance_witness(z6_pcs)
     b = min_distance_witness(z6_pcs)
     assert a == b
+
+
+TABLE_RINGS = ["Z4", "Z6", "Z7", "Z11", "Z2xZ4", "Z3xZ4"]
+
+
+def decode_outcome(pcs, x, min_dist=None):
+    try:
+        res = decode(pcs, x, min_dist)
+    except BeyondRadius as exc:
+        return ("beyond", exc.radius)
+    return res
+
+
+def shell_decode_outcome(pcs, x, radius):
+    """decode by listing the weight shells, the independent route."""
+    sx = pcs.syndrome(x)
+    for w, y in _shell_errors(pcs, radius):
+        j = pcs.syndrome_to_col.get(vec_sub(sx, pcs.syndrome(y)))
+        if j is not None:
+            return DecodeResult(vec_sub(x, y), j, y, w)
+    return ("beyond", radius)
+
+
+def test_table_route_matches_shell_search_random():
+    rng = random.Random(6060)
+    seen = set()
+    beyond_seen = 0
+    for i in range(40):
+        if i % 2:
+            pcs = random_linear_instance(rng, rings=TABLE_RINGS, space_cap=2500)
+        else:
+            pcs = random_instance(rng, rings=TABLE_RINGS, space_cap=2500)[0]
+        code = oracle_code_from_pcs(pcs)
+        if code.cardinality < 2 or pcs.syndrome_space() is None:
+            continue  # too many rows in H: |R|^m outgrows the budget
+        d, witness = min_distance_witness(pcs)
+        assert (d, witness) == _shell_witness(pcs)
+        assert d == oracle_min_distance(code)
+        seen.add((str(pcs.spec), i % 2))
+        radius = (d - 1) // 2
+        for c in sorted(code.words, key=lambda v: v.coords)[:2]:
+            for w in range(min(radius + 1, pcs.n) + 1):
+                for e in weight_shell(pcs.spec, pcs.n, w):
+                    x = vec_add(c, e)
+                    got = decode_outcome(pcs, x)
+                    assert got == shell_decode_outcome(pcs, x, radius)
+                    if w <= radius:
+                        assert got.codeword == c and got.error_vector == e
+                    beyond_seen += got == ("beyond", radius)
+    assert len(seen) == 2 * len(TABLE_RINGS) and beyond_seen >= 20
+
+
+def test_shell_search_above_the_table_budget():
+    # code_to_pcs gives Z3xZ4 six rows of H: 12^6 syndromes outgrow the budget
+    pcs, spec = repetition_pcs("Z3xZ4", 4)
+    assert pcs.m == 6 and pcs.syndrome_space() is None
+    assert min_distance_witness(pcs) == (4, rv(spec, ((0, 1),) * 4))
+    assert min_distance(pcs) == oracle_min_distance(oracle_code_from_pcs(pcs))
+    res = decode(pcs, rv(spec, ((2, 3), (2, 3), (2, 3), (0, 3))), min_dist=4)
+    assert res.codeword == rv(spec, ((2, 3),) * 4)
+    assert res.error_vector == rv(spec, ((0, 0), (0, 0), (0, 0), (1, 0)))
+    with pytest.raises(BeyondRadius):
+        decode(pcs, rv(spec, ((2, 3), (2, 3), (0, 3), (0, 3))), min_dist=4)
+
+
+def test_second_decode_reuses_the_table(monkeypatch):
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapped(self, *args):
+            built.append(cls.__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", wrapped)
+
+    counting(SyndromeSpace)
+    counting(ReachTable)
+    pcs, spec = repetition_pcs("Z6", 5)
+    first = decode(pcs, rv(spec, (1, 1, 0, 1, 1)))
+    # S^diff = col(S) = {0}: the distance and decoding tables coincide
+    assert built == ["SyndromeSpace", "ReachTable"]
+    second = decode(pcs, rv(spec, (2, 2, 2, 5, 5)))
+    assert built == ["SyndromeSpace", "ReachTable"]
+    assert first.codeword == rv(spec, (1, 1, 1, 1, 1))
+    assert second.codeword == rv(spec, (2, 2, 2, 2, 2))

@@ -39,6 +39,7 @@ from conftest import (
     build_z6_presentation,
     code_words,
     random_instance,
+    random_linear_instance,
     random_vec,
     rv,
 )
@@ -215,6 +216,45 @@ def test_is_linear_golden_and_random(z6_pcs):
     for _ in range(30):
         pcs, pres = random_instance(rng, space_cap=400)
         assert is_linear(pcs) == oracle_is_linear(oracle_code_from_pcs(pcs))
+
+
+def test_kernel_and_is_linear_match_scan_on_product_rings():
+    # the factor idempotents stand in for every scalar; product rings are
+    # where they differ from the single scalar 1
+    rng = random.Random(4242)
+    seen = {}
+    for rings, max_n, cap in [(["Z6", "Z2xZ4", "Z3xZ4"], 2, 150), (["Z3xZ5xZ7"], 1, 105)]:
+        for _ in range(24):
+            for pcs in (
+                random_instance(rng, rings=rings, max_n=max_n, space_cap=cap)[0],
+                random_linear_instance(rng, rings=rings, max_n=max_n, space_cap=cap),
+            ):
+                code = oracle_code_from_pcs(pcs)
+                if code.cardinality > 24:
+                    continue  # the oracle's kernel scan grows with |C|^2 |R|
+                linear = is_linear(pcs)
+                assert linear == oracle_is_linear(code)
+                assert set(kernel(pcs).enumerate()) == set(oracle_kernel(code))
+                key = (str(pcs.spec), linear)
+                seen[key] = seen.get(key, 0) + 1
+    for ring in ("Z6", "Z2xZ4", "Z3xZ4", "Z3xZ5xZ7"):
+        assert seen.get((ring, True)) and seen.get((ring, False)), ring
+
+
+def test_kernel_and_is_linear_over_a_large_prime():
+    # a scan over all 1000003 scalars would take seconds per call
+    spec = parse_ring("Z1000003")
+    rng = random.Random(7)
+    h = [random_vec(rng, spec, 4) for _ in range(2)]
+    sigma = RingVec.of(spec, [dot(row, random_vec(rng, spec, 4)) for row in h])
+    zero = zero_vec(spec, 1)
+    linear = validate_pcs(h, [zero, zero])
+    assert is_linear(linear)
+    assert kernel(linear) == linear.kernel_module
+    s_rows = [RingVec(spec, ((0,), c)) for c in sigma.coords]
+    nonlinear = validate_pcs(h, s_rows)
+    assert not is_linear(nonlinear)
+    assert kernel(nonlinear) == nonlinear.kernel_module
 
 
 def test_validate_agrees_with_exhaustive_checks():

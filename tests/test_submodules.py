@@ -6,6 +6,7 @@ import pytest
 
 from ringcodes import (
     BudgetExceeded,
+    ParityCheckSystem,
     RingVec,
     Submodule,
     dot,
@@ -19,6 +20,7 @@ from ringcodes import (
     vec_add,
     zero_vec,
 )
+from ringcodes.howell import solve_rowspan
 from conftest import Z6, Z6_D_GENS, Z6_H, random_vec, rv
 
 
@@ -196,6 +198,34 @@ def test_solve_right_and_left_random():
         for i, row in enumerate(rows):
             rebuilt = vec_add(rebuilt, scale(r[i], row))
         assert rebuilt == target
+
+
+def test_solve_exact_over_a_large_modulus():
+    # products of residues below 2^31 fit in int64, sums of ten of them do not
+    spec = parse_ring("Z2147483629")
+    t = spec.factors[0]
+    rng = random.Random(2024)
+    for _ in range(10):
+        rows = [random_vec(rng, spec, 10) for _ in range(6)]
+        b = RingVec.of(spec, [dot(r, random_vec(rng, spec, 10)) for r in rows])
+        x = solve_right(rows, b)
+        assert x is not None
+        assert [dot(r, x) for r in rows] == list(b)
+        coeffs = [rng.randrange(t) for _ in range(6)]
+        target = RingVec.of(
+            spec, [sum(c * r.coords[j][0] for c, r in zip(coeffs, rows)) for j in range(10)]
+        )
+        checks = ParityCheckSystem(rows, [zero_vec(spec, 1)] * 6)
+        for r in (solve_left(rows, target), checks.express_over_rows(target)):
+            assert r is not None
+            combo = [sum(r.coords[i][0] * rows[i].coords[j][0] for i in range(6)) % t
+                     for j in range(10)]
+            assert combo == [c[0] for c in target.coords]
+        mat = [[c[0] for c in r.coords] for r in rows]
+        y = solve_rowspan(mat, [c[0] for c in target.coords], t)
+        assert [sum(int(y[i]) * mat[i][j] for i in range(6)) % t for j in range(10)] == [
+            c[0] for c in target.coords
+        ]
 
 
 def test_solve_left_rejects_outside_targets():
