@@ -58,13 +58,11 @@ from .distance import (
 from .fourier import (
     ExponentSum,
     GeneratingCharacter,
-    RowCombination,
     character_exponent,
     fourier_coeff_coset,
     fourier_coeff_pcs,
     generating_character,
     poisson_sum,
-    row_combination,
 )
 from .enumerator import (
     EnumeratorPoly,

@@ -30,7 +30,7 @@ from .formats import (
     serialize_code,
     serialize_pcs,
 )
-from .fourier import fourier_coeff_pcs, row_combination
+from .fourier import fourier_coeff_pcs
 from .oracle import (
     oracle_code_from_pcs,
     oracle_distance_distribution,
@@ -266,14 +266,14 @@ def cmd_islinear(args) -> int:
 def _fourier_entry(pcs, x) -> dict:
     es = fourier_coeff_pcs(pcs, x)
     v = es.evaluate()
-    rc = row_combination(pcs, x)
+    s_x = pcs.s_row(x)
     return {
         "x": _vec_json(x),
         "counts": list(es.counts),
         "order": es.order,
         "re": _round12(v.real),
         "im": _round12(v.imag),
-        "s_x": _vec_json(rc.s_x) if rc is not None else None,
+        "s_x": _vec_json(s_x) if s_x is not None else None,
     }
 
 

@@ -9,35 +9,41 @@ the weight enumerator and matches the MacWilliams transform of the dual
 code's enumerator, giving a second, independent route to the same
 polynomial.
 
-The |.|^2 accumulation stays in exact root-of-unity arithmetic; each weight
-bin is evaluated to a number exactly once, and the binomial substitution is
-done in exact integer arithmetic whenever the bins are integers.
+Every step is integer arithmetic.  The span of [H | S] lists the pairs
+(h, S_h), and with e_j the character exponent of S_h(j),
+|F(h)|^2 = c^2 sum_{j,l} zeta_L^(e_l - e_j) with c = |R|^n / |row span|.
+A unit a mod L maps h to a h, which keeps the weight and the row span and
+multiplies every exponent by a, so each weight bin is fixed by the Galois
+group of Q(zeta_L): its terms zeta^k come in whole classes of equal
+d = L / gcd(k, L), and each class sums to count * mu(d) / phi(d), since
+the primitive d-th roots of unity sum to mu(d) (a Ramanujan sum).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
-from .fourier import ExponentSum, fourier_coeff_pcs
+import numpy as np
+
+from .howell import span_blocks
 from .pcs import ParityCheckSystem, is_linear, pcs_to_code
-from .rings import DEFAULT_BUDGET, RingVec, weight
+from .rings import DEFAULT_BUDGET, BudgetExceeded
 from .submodules import Submodule
-
-Number = Union[int, float]
-
-#: Relative deviation from an integer tolerated before rounding a coefficient.
-INTEGER_TOLERANCE = 1e-6
 
 
 class NonIntegerCoefficient(Exception):
-    """A coefficient that must be an integer strayed too far from one."""
+    """A coefficient that must be an integer is not one; a bug, not bad input."""
 
-    def __init__(self, index: int, value: float):
+    def __init__(self, index: int, numerator: int, denominator: int):
         self.index = index
-        self.value = value
-        super().__init__(f"coefficient {index} is {value!r}, expected an integer")
+        self.numerator = numerator
+        self.denominator = denominator
+        super().__init__(
+            f"coefficient {index} is {numerator}/{denominator}, expected an integer"
+        )
 
 
 @dataclass(frozen=True)
@@ -45,13 +51,13 @@ class EnumeratorPoly:
     """Homogeneous two-variable polynomial; coefficient i sits on x^(n-i) y^i."""
 
     n: int
-    coeffs: tuple[Number, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.n + 1:
             raise ValueError("need exactly n + 1 coefficients")
 
-    def coefficient(self, i: int) -> Number:
+    def coefficient(self, i: int) -> int:
         return self.coeffs[i]
 
     def evaluate(self, x: complex, y: complex) -> complex:
@@ -71,47 +77,83 @@ class EnumeratorPoly:
         return " + ".join(parts) if parts else "0"
 
 
-def _snap(value: float, index: int, strict: bool) -> Number:
-    """Round to the nearest integer within the relative gate, or complain."""
-    r = round(value)
-    if abs(value - r) <= INTEGER_TOLERANCE * max(1.0, abs(value)):
-        return int(r)
-    if strict:
-        raise NonIntegerCoefficient(index, value)
-    return value
+def _divide_exact(values: Sequence[int], divisor: int) -> list[int]:
+    out = []
+    for i, v in enumerate(values):
+        quot, rem = divmod(v, divisor)
+        if rem:
+            raise NonIntegerCoefficient(i, v, divisor)
+        out.append(quot)
+    return out
 
 
-def _weight_bins(pcs: ParityCheckSystem, budget: int) -> list[ExponentSum]:
+def _weights(block: list[np.ndarray], n: int) -> np.ndarray:
+    """Hamming weight of the first n coordinates of each point of a span block."""
+    return np.logical_or.reduce([part[:, :n] != 0 for part in block]).sum(axis=1)
+
+
+def _prime_divisors(t: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= t:
+        if t % p == 0:
+            primes.append(p)
+            while t % p == 0:
+                t //= p
+        p += 1 if p == 2 else 2
+    if t > 1:
+        primes.append(t)
+    return primes
+
+
+def _mobius_phi(d: int, primes: Sequence[int]) -> tuple[int, int]:
+    """mu(d) and phi(d) for a d whose prime divisors are all in primes."""
+    mu, phi = 1, d
+    for p in primes:
+        if d % p == 0:
+            mu = 0 if d % (p * p) == 0 else -mu
+            phi = phi // p * (p - 1)
+    return mu, phi
+
+
+def _weight_bins(pcs: ParityCheckSystem, budget: int) -> list[int]:
     """Exact sum of |Fourier coefficient|^2 per weight over the row span of H."""
-    L = pcs.spec.char_order
-    bins = [ExponentSum.zero(L) for _ in range(pcs.n + 1)]
-    for h in pcs.row_module.enumerate(budget):
-        es = fourier_coeff_pcs(pcs, h)
-        bins[weight(h)] = bins[weight(h)] + es * es.conjugate()
-    return bins
+    card = pcs.row_module.cardinality
+    if card > budget:
+        raise BudgetExceeded(card, budget, "row span walk")
+    spec, n = pcs.spec, pcs.n
+    L = spec.char_order
+    # an exponent plus a term stays below 2^63 while L < 2^62
+    dtype = np.int64 if L < 2**62 else object
+    pairs: Counter = Counter()  # (weight, gcd(e_l - e_j, L)) -> number of (h, j, l)
+    for block in span_blocks(pcs.hs_forms):
+        w = _weights(block, n)
+        e = np.zeros((len(w), pcs.s), dtype=dtype)
+        for part, t in zip(block, spec.factors):
+            e = (e + part[:, n:].astype(dtype) * (L // t)) % L
+        weights = np.repeat(w, pcs.s).tolist()
+        for j in range(pcs.s):
+            g = np.gcd(e - e[:, j : j + 1], L)
+            pairs.update(zip(weights, g.ravel().tolist()))
+    primes = sorted({p for t in spec.factors for p in _prime_divisors(t)})
+    _, phi_L = _mobius_phi(L, primes)
+    sums = [0] * (n + 1)
+    for (wk, g), count in pairs.items():
+        mu, phi = _mobius_phi(L // g, primes)
+        sums[wk] += count * mu * (phi_L // phi)
+    c = spec.cardinality**n // card
+    return [c * c * v for v in _divide_exact(sums, phi_L)]
 
 
 def pcs_enumerator_poly(
     pcs: ParityCheckSystem, budget: int = DEFAULT_BUDGET
 ) -> EnumeratorPoly:
-    """The system polynomial N(x, y); coefficients snap to ints when they are."""
-    coeffs = []
-    for i, b in enumerate(_weight_bins(pcs, budget)):
-        v = b.evaluate()
-        if abs(v.imag) > INTEGER_TOLERANCE * max(1.0, abs(v.real)):
-            raise NonIntegerCoefficient(i, v.imag)
-        value = v.real
-        r = round(value)
-        if abs(value - r) <= INTEGER_TOLERANCE * max(1.0, abs(value)):
-            coeffs.append(int(r))
-        else:
-            coeffs.append(value)
-    return EnumeratorPoly(pcs.n, tuple(coeffs))
+    """The system polynomial N(x, y), exactly."""
+    return EnumeratorPoly(pcs.n, tuple(_weight_bins(pcs, budget)))
 
 
-def _binomial_substitution(coeffs: Sequence[Number], q: int, n: int) -> list[Number]:
-    """Coefficients of sum_w c_w (x + (q-1) y)^(n-w) (x - y)^w, exact for ints."""
-    out: list[Number] = [0] * (n + 1)
+def _binomial_substitution(coeffs: Sequence[int], q: int, n: int) -> list[int]:
+    """Coefficients of sum_w c_w (x + (q-1) y)^(n-w) (x - y)^w."""
+    out = [0] * (n + 1)
     a = q - 1
     for w, c in enumerate(coeffs):
         if not c:
@@ -129,41 +171,19 @@ def _binomial_substitution(coeffs: Sequence[Number], q: int, n: int) -> list[Num
 def distance_distribution(
     pcs: ParityCheckSystem, budget: int = DEFAULT_BUDGET
 ) -> EnumeratorPoly:
-    """Ordered-pair distance counts D_0..D_n as exact integers.
+    """Ordered-pair distance counts D_0..D_n: N(x + (|R|-1) y, x - y) / |R|^n.
 
-    Raises NonIntegerCoefficient when any coefficient deviates from an
-    integer by more than the relative gate, which a valid system never
-    produces.
+    Raises NonIntegerCoefficient when any coefficient is not an integer,
+    which a valid system never produces.
     """
-    npoly = pcs_enumerator_poly(pcs, budget)
     q = pcs.spec.cardinality
-    raw = _binomial_substitution(npoly.coeffs, q, pcs.n)
-    denom = q**pcs.n
-    coeffs = []
-    for i, v in enumerate(raw):
-        if isinstance(v, int):
-            quot, rem = divmod(v, denom)
-            if rem:
-                raise NonIntegerCoefficient(i, v / denom)
-            coeffs.append(quot)
-        else:
-            coeffs.append(_snap(v / denom, i, strict=True))
-    return EnumeratorPoly(pcs.n, tuple(coeffs))
+    return macwilliams_transform(pcs_enumerator_poly(pcs, budget), q, q**pcs.n)
 
 
 def macwilliams_transform(poly: EnumeratorPoly, q: int, divisor: int) -> EnumeratorPoly:
     """(1/divisor) * poly(x + (q-1) y, x - y), demanding integer output."""
     raw = _binomial_substitution(poly.coeffs, q, poly.n)
-    coeffs = []
-    for i, v in enumerate(raw):
-        if isinstance(v, int):
-            quot, rem = divmod(v, divisor)
-            if rem:
-                raise NonIntegerCoefficient(i, v / divisor)
-            coeffs.append(quot)
-        else:
-            coeffs.append(_snap(v / divisor, i, strict=True))
-    return EnumeratorPoly(poly.n, tuple(coeffs))
+    return EnumeratorPoly(poly.n, tuple(_divide_exact(raw, divisor)))
 
 
 def weight_enumerator_linear(
@@ -178,14 +198,8 @@ def weight_enumerator_linear(
     """
     if not is_linear(pcs):
         raise ValueError("the code of this system is not linear")
-    dd = distance_distribution(pcs, budget)
     size = pcs.code_cardinality()
-    direct = []
-    for i, v in enumerate(dd.coeffs):
-        quot, rem = divmod(int(v), size)
-        if rem:
-            raise NonIntegerCoefficient(i, v / size)
-        direct.append(quot)
+    direct = _divide_exact(distance_distribution(pcs, budget).coeffs, size)
     direct_poly = EnumeratorPoly(pcs.n, tuple(direct))
 
     pres = pcs_to_code(pcs)
@@ -196,11 +210,12 @@ def weight_enumerator_linear(
     )
     if code_module.cardinality != size:  # pragma: no cover - guarded by is_linear
         raise AssertionError("linear code does not span its own cardinality")
+    # the dual lies in the row span of H, which route one walked in budget
     dual = code_module.annihilator()
-    counts = [0] * (pcs.n + 1)
-    for y in dual.enumerate(budget):
-        counts[weight(y)] += 1
-    dual_poly = EnumeratorPoly(pcs.n, tuple(counts))
+    counts = np.zeros(pcs.n + 1, dtype=np.int64)
+    for block in span_blocks(dual.forms):
+        counts += np.bincount(_weights(block, pcs.n), minlength=pcs.n + 1)
+    dual_poly = EnumeratorPoly(pcs.n, tuple(counts.tolist()))
     via_dual = macwilliams_transform(dual_poly, pcs.spec.cardinality, dual.cardinality)
     if direct_poly != via_dual:
         raise AssertionError(

@@ -29,10 +29,7 @@ from .rings import (
     RingVec,
     dot,
     enumerate_vectors,
-    scale,
-    vec_add,
     vec_neg,
-    zero_vec,
 )
 @lru_cache(maxsize=64)
 def _roots(order: int) -> tuple[complex, ...]:
@@ -144,30 +141,6 @@ def character_exponent(x: RingVec, y: RingVec) -> int:
     return generating_character(x.spec).exponent(dot(x, y))
 
 
-@dataclass(frozen=True)
-class RowCombination:
-    """Coefficients r with x = sum r_i h_i, and the matching syndrome row r S."""
-
-    coefficients: RingVec
-    s_x: RingVec
-
-
-def row_combination(pcs: ParityCheckSystem, x: RingVec) -> Optional[RowCombination]:
-    """Express x over the rows of H and push the coefficients through S.
-
-    Any choice of coefficients gives the same r S: two choices differ by a
-    row dependency of H, which annihilates S's rows by condition (iii).
-    Returns None when x is outside the row span.
-    """
-    r = pcs.express_over_rows(x)
-    if r is None:
-        return None
-    s_x = zero_vec(pcs.spec, pcs.s)
-    for i in range(pcs.m):
-        s_x = vec_add(s_x, scale(r[i], pcs.s_rows[i]))
-    return RowCombination(coefficients=r, s_x=s_x)
-
-
 def fourier_coeff_coset(pres: CodePresentation, x: RingVec) -> ExponentSum:
     """Fourier coefficient of the code's indicator from its coset presentation.
 
@@ -192,14 +165,14 @@ def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
     """
     eps = generating_character(pcs.spec)
     L = eps.order
-    rc = row_combination(pcs, x)
-    if rc is None:
+    s_x = pcs.s_row(x)
+    if s_x is None:
         return ExponentSum.zero(L)
     scale_factor = pcs.spec.cardinality**pcs.n // pcs.row_module.cardinality
     counts = [0] * L
-    for j in range(pcs.s):
-        counts[(-eps.exponent(rc.s_x[j])) % L] += 1
-    return ExponentSum(L, tuple(counts)).scaled(scale_factor)
+    for a in s_x:
+        counts[(-eps.exponent(a)) % L] += scale_factor
+    return ExponentSum(L, tuple(counts))
 
 
 def poisson_sum(

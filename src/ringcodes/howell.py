@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -109,11 +108,12 @@ class HowellForm:
             card *= t // p
         return card
 
-    def express(self, v) -> Optional[np.ndarray]:
-        """Coefficients c with c @ matrix = v (mod t), or None if v is outside.
+    def reduce(self, v) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Greedy reduction of v down the pivot columns.
 
-        Greedy reduction down the pivot columns; correctness of the greedy
-        choice is exactly the Howell span property.
+        Returns (coeffs, rest) with v = coeffs @ matrix + rest (mod t) and
+        rest zero in every pivot column, or None when some pivot does not
+        divide the entry left in its column.
         """
         t = self.modulus
         v = np.asarray(v, dtype=np.int64) % t
@@ -129,9 +129,18 @@ class HowellForm:
             if q:
                 v = (v - q * self.matrix[i]) % t
             coeffs[i] = q
-        if v.any():
+        return coeffs, v
+
+    def express(self, v) -> Optional[np.ndarray]:
+        """Coefficients c with c @ matrix = v (mod t), or None if v is outside.
+
+        Greedy reduction down the pivot columns; correctness of the greedy
+        choice is exactly the Howell span property.
+        """
+        reduced = self.reduce(v)
+        if reduced is None or reduced[1].any():
             return None
-        return coeffs
+        return reduced[0]
 
     def contains(self, v) -> bool:
         return self.express(v) is not None
@@ -151,18 +160,47 @@ class HowellForm:
 
     def enumerate_span(self) -> Iterator[np.ndarray]:
         """All span elements exactly once, coefficient odometer order."""
-        t = self.modulus
-        ranges = [range(t // p) for p in self.pivots]
-        if not ranges:
-            yield np.zeros(self.ncols, dtype=np.int64)
-            return
-        rows = self.matrix
-        for combo in product(*ranges):
-            acc = np.zeros(self.ncols, dtype=np.int64)
-            for c, row in zip(combo, rows):
-                if c:
-                    acc += c * row
-            yield acc % t
+        for (block,) in span_blocks([self]):
+            yield from block
+
+
+#: Points per block of span_blocks.
+_BLOCK = 4096
+
+
+def span_blocks(forms: Sequence[HowellForm]) -> Iterator[list[np.ndarray]]:
+    """The span of a product of per-factor forms, in blocks of points.
+
+    Each block is a list with one (B, ncols) array per form, B <= _BLOCK,
+    row b of every array being one factor component of the same point.
+    Points come in odometer order over the forms, the last fastest, and
+    within a form over the coefficients of its rows in itertools.product
+    order.  That is one mixed-radix count over all rows of all forms, row
+    i running through 0 .. t / pivot_i - 1, cut into runs of _BLOCK.
+    """
+    digits = [
+        (f, row, hf.modulus // int(row[col]))
+        for f, hf in enumerate(forms)
+        for row, col in zip(hf.matrix, hf.pivot_cols)
+    ]
+    strides, total = [], 1
+    for _, _, radix in reversed(digits):
+        strides.insert(0, total)
+        total *= radix
+    for lo in range(0, total, _BLOCK):
+        offsets = np.arange(min(_BLOCK, total - lo))
+        block = [np.zeros((len(offsets), hf.ncols), dtype=np.int64) for hf in forms]
+        for (f, row, radix), stride in zip(digits, strides):
+            q, r = divmod(lo, stride)
+            # a digit whose stride is at least _BLOCK steps at most once per block
+            if stride < _BLOCK:
+                steps = (offsets + r) // stride
+            else:
+                steps = offsets >= min(stride - r, _BLOCK)
+            digit = (steps + q % radix) % radix
+            t = forms[f].modulus
+            block[f] = (block[f] + digit[:, None] * row % t) % t
+        yield block
 
 
 def howell_form(mat, t: int) -> HowellForm:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .howell import HowellForm
 from .reach import SyndromeSpace
 from .rings import (
     DEFAULT_BUDGET,
@@ -109,7 +110,7 @@ class ParityCheckSystem:
         self.syndrome_to_col = {col: j + 1 for j, col in enumerate(self.s_cols)}
         self._row_module: Optional[Submodule] = None
         self._kernel_module: Optional[Submodule] = None
-        self._h_forms = None
+        self._hs_forms: Optional[tuple[HowellForm, ...]] = None
         self._syndrome_space: Optional[SyndromeSpace] = None
 
     @property
@@ -145,27 +146,40 @@ class ParityCheckSystem:
             parts.append((self._h_mats[f] * xs % t).sum(axis=1) % t)
         return from_components(self.spec, parts)
 
-    def express_over_rows(self, x: RingVec) -> Optional[RingVec]:
-        """Coefficients r with r H = x and free directions zeroed, or None.
+    @property
+    def hs_forms(self) -> tuple[HowellForm, ...]:
+        """One Howell form of [H | S] per ring factor.
 
-        Same answer as solve_left on the H rows, but the per-factor Howell
-        forms are computed once and reused across calls.
+        By condition (iii) a combination of rows that vanishes on H vanishes
+        on S, so every pivot lies in the H part: the span lists exactly the
+        pairs (h, S_h) for h in the row span of H, with S_h = r S for any r
+        with r H = h (two such r differ by a row dependency of H).
+        """
+        if self._hs_forms is None:
+            rows = [
+                RingVec(self.spec, h.coords + s.coords)
+                for h, s in zip(self.h_rows, self.s_rows)
+            ]
+            forms = Submodule.from_generators(self.spec, self.n + self.s, rows).forms
+            if any(col >= self.n for hf in forms for col in hf.pivot_cols):
+                raise InternalInconsistency("a pivot of [H | S] lies in S")
+            self._hs_forms = forms
+        return self._hs_forms
+
+    def s_row(self, x: RingVec) -> Optional[RingVec]:
+        """S_x, paired with x in the span of [H | S], or None outside the row span.
+
+        Greedily reducing [x | 0] by hs_forms clears the H part exactly when
+        x is in the row span, and leaves -S_x in the S part.
         """
         if x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
-        if self._h_forms is None:
-            from .howell import howell_form
-
-            self._h_forms = tuple(
-                howell_form(self._h_mats[f], t)
-                for f, t in enumerate(self.spec.factors)
-            )
         parts = []
-        for f, hf in enumerate(self._h_forms):
-            r = hf.solve(x.component(f))
-            if r is None:
+        for f, hf in enumerate(self.hs_forms):
+            reduced = hf.reduce(x.component(f) + (0,) * self.s)
+            if reduced is None or reduced[1][: self.n].any():
                 return None
-            parts.append(r)
+            parts.append(-reduced[1][self.n :])
         return from_components(self.spec, parts)
 
     def code_cardinality(self) -> int:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .howell import HowellForm, howell_form
+from .howell import HowellForm, howell_form, span_blocks
 from .rings import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -104,22 +104,10 @@ class Submodule:
         """All elements exactly once: odometer over factors, last factor fastest."""
         if self.cardinality > budget:
             raise BudgetExceeded(self.cardinality, budget, "submodule enumeration")
-        factor_elems = [list(hf.enumerate_span()) for hf in self.forms]
-        idx = [0] * len(factor_elems)
-        sizes = [len(e) for e in factor_elems]
-        while True:
-            yield from_components(
-                self.spec, [factor_elems[f][idx[f]] for f in range(len(sizes))]
-            )
-            f = len(sizes) - 1
-            while f >= 0:
-                idx[f] += 1
-                if idx[f] < sizes[f]:
-                    break
-                idx[f] = 0
-                f -= 1
-            if f < 0:
-                return
+        for block in span_blocks(self.forms):
+            parts = [b.tolist() for b in block]
+            for i in range(len(parts[0])):
+                yield RingVec(self.spec, tuple(zip(*(p[i] for p in parts))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Submodule):

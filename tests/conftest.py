@@ -54,6 +54,8 @@ def z6_pres() -> CodePresentation:
 
 
 PROPERTY_RINGS = ["Z2", "Z3", "Z4", "Z6", "Z8", "Z2xZ2", "Z2xZ3"]
+# rings whose moduli have repeated or mixed prime factors beyond PROPERTY_RINGS
+OUTSIDE_RINGS = ["Z9", "Z12", "Z3xZ4", "Z2xZ4"]
 
 
 def random_vec(rng: random.Random, spec: RingSpec, n: int) -> RingVec:
@@ -119,6 +121,18 @@ def random_linear_instance(
         if all(not kernel.contains(vec_sub(cand, d)) for d in reps):
             reps.append(cand)
     return code_to_pcs(CodePresentation(kernel, tuple(reps)))
+
+
+def random_systems(
+    rng: random.Random, rings, count: int, space_cap: int
+) -> list[ParityCheckSystem]:
+    """count random systems over the given rings, every third one linear."""
+    return [
+        random_linear_instance(rng, rings, space_cap=space_cap)
+        if i % 3 == 2
+        else random_instance(rng, rings, space_cap=space_cap)[0]
+        for i in range(count)
+    ]
 
 
 def code_words(pres: CodePresentation) -> set[RingVec]:

@@ -1,16 +1,21 @@
 """System polynomial, distance distribution, MacWilliams cross-checks."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from ringcodes import (
+    BudgetExceeded,
     CodePresentation,
     EnumeratorPoly,
+    ExponentSum,
     NonIntegerCoefficient,
     Submodule,
     code_to_pcs,
     distance_distribution,
+    fourier_coeff_pcs,
+    is_linear,
     macwilliams_transform,
     min_distance,
     oracle_code_from_pcs,
@@ -18,10 +23,21 @@ from ringcodes import (
     parse_ring,
     pcs_enumerator_poly,
     validate_pcs,
+    weight,
     weight_enumerator_linear,
     zero_vec,
 )
-from conftest import Z6, code_words, random_instance, random_vec, rv
+from ringcodes import howell
+from conftest import (
+    OUTSIDE_RINGS,
+    Z6,
+    code_words,
+    random_instance,
+    random_linear_instance,
+    random_systems,
+    random_vec,
+    rv,
+)
 
 Z6_DISTANCE_DISTRIBUTION = (216, 0, 6480, 17280, 22680)
 
@@ -130,8 +146,6 @@ def test_weight_enumerator_rejects_nonlinear(z6_pcs):
 
 
 def test_weight_enumerator_counts_weights_random():
-    from ringcodes import is_linear, weight
-
     rng = random.Random(140)
     done = 0
     for _ in range(400):
@@ -147,3 +161,101 @@ def test_weight_enumerator_counts_weights_random():
         assert list(w.coeffs) == counts
         done += 1
     assert done == 15
+
+
+def test_system_polynomial_exact_outside_property_rings():
+    # N = D(x + (q-1) y, x - y), with D counted pair by pair from the words
+    systems = random_systems(random.Random(90210), OUTSIDE_RINGS, 15, 800)
+    assert any(is_linear(p) for p in systems) and not all(is_linear(p) for p in systems)
+    for pcs in systems:
+        q, n = pcs.spec.cardinality, pcs.n
+        dist = EnumeratorPoly(
+            n, tuple(oracle_distance_distribution(oracle_code_from_pcs(pcs)))
+        )
+        npoly = pcs_enumerator_poly(pcs)
+        assert npoly == macwilliams_transform(dist, q, 1)
+        assert all(type(c) is int for c in npoly.coeffs)
+        assert distance_distribution(pcs) == dist
+
+
+def test_exact_bins_match_summed_fourier_reference(z6_pcs):
+    # the bins summed point by point in root-of-unity arithmetic, evaluated
+    # once; double precision leaves far less than 1e-9 relative error here
+    systems = [z6_pcs] + random_systems(random.Random(31), OUTSIDE_RINGS, 4, 300)
+    for pcs in systems:
+        L = pcs.spec.char_order
+        bins = [ExponentSum.zero(L) for _ in range(pcs.n + 1)]
+        for h in pcs.row_module.enumerate():
+            es = fourier_coeff_pcs(pcs, h)
+            bins[weight(h)] = bins[weight(h)] + es * es.conjugate()
+        npoly = pcs_enumerator_poly(pcs)
+        for b, c in zip(bins, npoly.coeffs):
+            assert abs(b.evaluate() - c) <= 1e-9 * max(1, c)
+    assert pcs_enumerator_poly(z6_pcs).coeffs == (46656, 0, 0, 0, 233280)
+
+
+def test_blocked_span_walk_matches_one_block(monkeypatch, z6_pcs):
+    linear = random_linear_instance(random.Random(5), ["Z3xZ4"], space_cap=2000)
+    assert is_linear(linear) and linear.row_module.cardinality > 7
+    want = [pcs_enumerator_poly(z6_pcs), weight_enumerator_linear(linear)]
+    for block in (1, 4, 7):
+        monkeypatch.setattr(howell, "_BLOCK", block)
+        assert [pcs_enumerator_poly(z6_pcs), weight_enumerator_linear(linear)] == want
+
+
+def test_enumerators_honour_the_budget(z6_pcs):
+    for fn in (pcs_enumerator_poly, distance_distribution):
+        with pytest.raises(BudgetExceeded):
+            fn(z6_pcs, budget=17)
+    assert distance_distribution(z6_pcs, budget=18).coeffs == Z6_DISTANCE_DISTRIBUTION
+
+
+def test_large_character_order_allocates_nothing_of_length_L():
+    # Z1009xZ997 has L = 1005973; the row span has 1009 points
+    spec = parse_ring("Z1009xZ997")
+    h = rv(spec, [(1, 0), (2, 0), (3, 0)])
+    s_row = rv(spec, [(0, 0), (5, 0), (7, 0)])
+    pcs = validate_pcs([h], [s_row])
+    tracemalloc.start()
+    try:
+        npoly = pcs_enumerator_poly(pcs)
+        dd = distance_distribution(pcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    size = pcs.code_cardinality()
+    c = spec.cardinality**pcs.n // pcs.row_module.cardinality
+    assert sum(npoly.coeffs) == spec.cardinality**pcs.n * size
+    assert npoly.coeffs[0] == (c * pcs.s) ** 2
+    assert dd.coeffs[0] == size
+    assert sum(dd.coeffs) == size**2
+
+
+def test_character_order_above_int64_range():
+    # over Z(2^21) x Z(3^13) x Z(5^9), L > 2^62; the span only reaches the
+    # elements of order dividing 30, whose characters are those of
+    # Z2xZ3xZ5, so N is the Z2xZ3xZ5 polynomial scaled by (|R| / 30)^(2n)
+    big = parse_ring("Z2097152xZ1594323xZ1953125")
+    small = parse_ring("Z2xZ3xZ5")
+    assert big.char_order >= 2**62
+    unit = (2**20, 3**12, 5**8)
+    h_rows = [[(1, 1, 0), (0, 2, 1)], [(1, 0, 1), (1, 1, 3)]]
+    s_rows = [[(0, 0, 0), (1, 2, 4)], [(0, 0, 0), (0, 1, 2)]]
+
+    def system(spec, u):
+        def lift(rows):
+            return [
+                rv(spec, [tuple(a * b for a, b in zip(c, u)) for c in row])
+                for row in rows
+            ]
+
+        return validate_pcs(lift(h_rows), lift(s_rows))
+
+    pcs_small, pcs_big = system(small, (1, 1, 1)), system(big, unit)
+    scale = (big.cardinality // small.cardinality) ** (2 * pcs_big.n)
+    want = pcs_enumerator_poly(pcs_small).coeffs
+    assert pcs_enumerator_poly(pcs_big).coeffs == tuple(scale * c for c in want)
+    assert distance_distribution(pcs_small).coeffs == tuple(
+        oracle_distance_distribution(oracle_code_from_pcs(pcs_small))
+    )

@@ -22,13 +22,20 @@ from ringcodes import (
     parse_ring,
     pcs_to_code,
     poisson_sum,
-    row_combination,
     scale,
     vec_add,
     weight,
     zero_vec,
 )
-from conftest import Z6, code_words, random_instance, random_vec, rv
+from conftest import (
+    OUTSIDE_RINGS,
+    Z6,
+    code_words,
+    random_instance,
+    random_systems,
+    random_vec,
+    rv,
+)
 
 # Fourier transform of the running example's indicator over the 18-element
 # row span of H; every value is a plain integer.
@@ -139,28 +146,29 @@ def test_character_exponent_is_bilinear():
 
 
 def test_row_combination_is_well_defined(z6_pcs):
-    # any expression of x over H's rows gives the same syndrome row r S
-    from ringcodes import syzygies
+    # any expression of x over H's rows gives the same syndrome row r S,
+    # and s_row reads that row off the forms of [H | S]
+    from ringcodes import solve_left, syzygies
 
     syz = list(syzygies(Z6, z6_pcs.h_rows).enumerate())
     for x_coords in [(1, 1, 3, 5), (4, 2, 2, 4), (2, 0, 2, 0)]:
         x = rv(Z6, x_coords)
-        rc = row_combination(z6_pcs, x)
-        assert rc is not None
+        r = solve_left(z6_pcs.h_rows, x)
+        assert r is not None
         rebuilt = zero_vec(Z6, 4)
         for i in range(z6_pcs.m):
-            rebuilt = vec_add(rebuilt, scale(rc.coefficients[i], z6_pcs.h_rows[i]))
+            rebuilt = vec_add(rebuilt, scale(r[i], z6_pcs.h_rows[i]))
         assert rebuilt == x
         for syz_r in syz:
-            shifted = vec_add(rc.coefficients, syz_r)
+            shifted = vec_add(r, syz_r)
             s_x = zero_vec(Z6, z6_pcs.s)
             for i in range(z6_pcs.m):
                 s_x = vec_add(s_x, scale(shifted[i], z6_pcs.s_rows[i]))
-            assert s_x == rc.s_x
+            assert s_x == z6_pcs.s_row(x)
 
 
 def test_row_combination_outside_row_span(z6_pcs):
-    assert row_combination(z6_pcs, rv(Z6, (1, 0, 0, 0))) is None
+    assert z6_pcs.s_row(rv(Z6, (1, 0, 0, 0))) is None
 
 
 def test_fourier_table_golden_both_routes(z6_pcs):
@@ -211,6 +219,16 @@ def test_fourier_routes_agree_random():
                 continue
             assert fourier_coeff_pcs(pcs, x).counts == (0,) * pcs.spec.char_order
             assert abs(oracle_fourier(code, x)) < 1e-9
+
+
+def test_fourier_routes_agree_outside_property_rings():
+    rng = random.Random(4711)
+    for pcs in random_systems(rng, OUTSIDE_RINGS, 15, 800):
+        pres = pcs_to_code(pcs)
+        off_span = [random_vec(rng, pcs.spec, pcs.n) for _ in range(20)]
+        for x in list(pcs.row_module.enumerate()) + off_span:
+            assert fourier_coeff_pcs(pcs, x) == fourier_coeff_coset(pres, x)
+            assert (pcs.s_row(x) is None) == (not pcs.row_module.contains(x))
 
 
 def test_fourier_coset_route_with_independent_presentation(z6_pres, z6_pcs):

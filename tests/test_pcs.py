@@ -9,6 +9,7 @@ from ringcodes import (
     ConditionIIIViolation,
     ConditionIIViolation,
     ConditionIViolation,
+    InternalInconsistency,
     ParityCheckSystem,
     RingVec,
     Submodule,
@@ -90,6 +91,14 @@ def test_validate_requires_consistent_shapes():
         ParityCheckSystem(
             [rv(Z6, (1, 2)), rv(Z6, (1,))], [rv(Z6, (0,)), rv(Z6, (0,))]
         )
+
+
+def test_forms_of_h_and_s_refuse_an_unvalidated_dependency():
+    # 3 * (2, 4) = 0 but 3 * 1 != 0 over Z6: condition (iii) fails, so a
+    # pivot of [H | S] would land in S and the pairs (h, S_h) break down
+    pcs = ParityCheckSystem([rv(Z6, (2, 4))], [rv(Z6, (1,))])
+    with pytest.raises(InternalInconsistency):
+        pcs.s_row(rv(Z6, (2, 4)))
 
 
 def test_syndrome_and_member_golden(z6_pcs):

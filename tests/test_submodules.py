@@ -1,6 +1,7 @@
 """Submodule canonicalization, duality, syzygies and linear solving."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from ringcodes import (
     vec_add,
     zero_vec,
 )
+from ringcodes import howell
 from ringcodes.howell import solve_rowspan
 from conftest import Z6, Z6_D_GENS, Z6_H, random_vec, rv
 
@@ -110,6 +112,35 @@ def test_enumerate_is_exact_and_budgeted():
     assert all(D.contains(v) for v in elems)
     with pytest.raises(BudgetExceeded):
         list(D.enumerate(budget=10))
+
+
+def test_enumerate_order_is_independent_of_the_block(monkeypatch):
+    # factors in odometer order, the last fastest; within a factor the
+    # Howell row coefficients in itertools.product order
+    rng = random.Random(2718)
+    for _ in range(20):
+        spec = parse_ring(rng.choice(["Z6", "Z12", "Z2xZ3", "Z3xZ4", "Z2xZ2xZ3"]))
+        n = rng.randint(1, 3)
+        D = Submodule.from_generators(
+            spec, n, [random_vec(rng, spec, n) for _ in range(rng.randint(0, 3))]
+        )
+        per_factor = []
+        for hf in D.forms:
+            t = hf.modulus
+            span = []
+            for combo in product(*(range(t // p) for p in hf.pivots)):
+                acc = [0] * n
+                for c, row in zip(combo, hf.matrix):
+                    acc = [(a + c * int(r)) % t for a, r in zip(acc, row)]
+                span.append(tuple(acc))
+            per_factor.append(span)
+        want = [tuple(zip(*combo)) for combo in product(*per_factor)]
+        for block in (1, 2, 5, 4096):
+            monkeypatch.setattr(howell, "_BLOCK", block)
+            assert [v.coords for v in D.enumerate()] == want
+            assert [
+                tuple(map(int, v)) for v in D.forms[-1].enumerate_span()
+            ] == per_factor[-1]
 
 
 def test_trivial_and_full_modules():
@@ -204,7 +235,7 @@ def test_solve_exact_over_a_large_modulus():
     # products of residues below 2^31 fit in int64, sums of ten of them do not
     spec = parse_ring("Z2147483629")
     t = spec.factors[0]
-    rng = random.Random(2024)
+    rng, s_rng = random.Random(2024), random.Random(2025)
     for _ in range(10):
         rows = [random_vec(rng, spec, 10) for _ in range(6)]
         b = RingVec.of(spec, [dot(r, random_vec(rng, spec, 10)) for r in rows])
@@ -215,12 +246,17 @@ def test_solve_exact_over_a_large_modulus():
         target = RingVec.of(
             spec, [sum(c * r.coords[j][0] for c, r in zip(coeffs, rows)) for j in range(10)]
         )
-        checks = ParityCheckSystem(rows, [zero_vec(spec, 1)] * 6)
-        for r in (solve_left(rows, target), checks.express_over_rows(target)):
-            assert r is not None
-            combo = [sum(r.coords[i][0] * rows[i].coords[j][0] for i in range(6)) % t
-                     for j in range(10)]
-            assert combo == [c[0] for c in target.coords]
+        r = solve_left(rows, target)
+        assert r is not None
+        combo = [sum(r.coords[i][0] * rows[i].coords[j][0] for i in range(6)) % t
+                 for j in range(10)]
+        assert combo == [c[0] for c in target.coords]
+        # the same reduction through the cached forms of [H | S]
+        s_rows = [random_vec(s_rng, spec, 2) for _ in range(6)]
+        checks = ParityCheckSystem(rows, s_rows)
+        assert [c[0] for c in checks.s_row(target).coords] == [
+            sum(c * s.coords[j][0] for c, s in zip(coeffs, s_rows)) % t for j in range(2)
+        ]
         mat = [[c[0] for c in r.coords] for r in rows]
         y = solve_rowspan(mat, [c[0] for c in target.coords], t)
         assert [sum(int(y[i]) * mat[i][j] for i in range(6)) % t for j in range(10)] == [
