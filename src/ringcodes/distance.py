@@ -10,18 +10,29 @@ increasing weight until H(x - y)^T hits a column of S.
 
 Both searches return the first hit in weight-shell order.  They run on the
 system's cached reachability tables over R^m (see reach.py) when those fit
-in DEFAULT_BUDGET bytes, and otherwise list the weight shells of R^n; both
-routes give the same answers.
+in DEFAULT_BUDGET bytes, and otherwise list the weight shells of R^n, up
+to DEFAULT_BUDGET vectors; both routes give the same answers.  The
+distance is cached on the system either way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .pcs import ParityCheckSystem
-from .rings import RingSpec, RingVec, vec_neg, vec_sub, zero_vec
+from .reach import SyndromeSpace
+from .rings import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    RingSpec,
+    RingVec,
+    vec_neg,
+    vec_sub,
+    zero_vec,
+)
 
 
 class DegenerateCode(Exception):
@@ -92,13 +103,19 @@ def min_distance_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:
     The witness is a nonzero vector of minimal weight whose syndrome lies in
     S^diff; shell order makes it a deterministic function of the system.
     The search runs on the system's reachability tables unless they would
-    outgrow DEFAULT_BUDGET bytes; then it lists the weight shells.
+    outgrow DEFAULT_BUDGET bytes; then it lists the weight shells.  The
+    answer is cached on the system.
     """
     if pcs.s == 1 and pcs.kernel_module.cardinality == 1:
         raise DegenerateCode("the code has exactly one word")
-    space = pcs.syndrome_space()
-    if space is None:
-        return _shell_witness(pcs)
+    if pcs._distance is None:
+        space = pcs.syndrome_space()
+        pcs._distance = _shell_witness(pcs) if space is None else _table_witness(pcs, space)
+    return pcs._distance
+
+
+def _table_witness(pcs: ParityCheckSystem, space: SyndromeSpace) -> tuple[int, RingVec]:
+    """min_distance_witness on the reachability tables."""
     # x with 0 - H x^T in -S^diff, i.e. H x^T in S^diff
     table = space.table(vec_neg(v) for v in sdiff(pcs).elements)
     zero = space.index(zero_vec(pcs.spec, pcs.m))
@@ -111,10 +128,9 @@ def min_distance_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:
 def _shell_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:
     """min_distance_witness by listing the weight shells of R^n."""
     diffs = sdiff(pcs)
-    for w in range(1, pcs.n + 1):
-        for x in weight_shell(pcs.spec, pcs.n, w):
-            if pcs.syndrome(x) in diffs:
-                return w, x
+    for w, x in _shell_errors(pcs, pcs.n):
+        if w and pcs.syndrome(x) in diffs:
+            return w, x
     raise AssertionError("unreachable: two distinct words differ somewhere")
 
 
@@ -162,7 +178,17 @@ def decode(
 
 
 def _shell_errors(pcs: ParityCheckSystem, radius: int) -> Iterator[tuple[int, RingVec]]:
-    """Every error vector of weight at most radius, in shell order."""
+    """Every error vector of weight at most radius, in shell order.
+
+    A shell is entered only when it and all shells before it hold at most
+    DEFAULT_BUDGET vectors together; otherwise BudgetExceeded names that
+    count.
+    """
+    q, n = pcs.spec.cardinality, pcs.n
+    needed = 0
     for w in range(radius + 1):
-        for y in weight_shell(pcs.spec, pcs.n, w):
+        needed += math.comb(n, w) * (q - 1) ** w
+        if needed > DEFAULT_BUDGET:
+            raise BudgetExceeded(needed, DEFAULT_BUDGET, "weight-shell search")
+        for y in weight_shell(pcs.spec, n, w):
             yield w, y

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 from typing import Callable, Optional
 
 from .pcs import CodePresentation, ParityCheckSystem
@@ -31,9 +31,11 @@ from .rings import (
     enumerate_vectors,
     vec_neg,
 )
-@lru_cache(maxsize=64)
-def _roots(order: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * cmath.pi * k / order) for k in range(order))
+
+
+def _root(k: int, order: int) -> complex:
+    """zeta_order^k for 0 <= k < order; no table of all the roots is kept."""
+    return cmath.exp(2j * cmath.pi * k / order)
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,8 @@ class ExponentSum:
         return ExponentSum(L, tuple(out))
 
     def evaluate(self) -> complex:
-        roots = _roots(self.order)
-        return sum((a * roots[k] for k, a in enumerate(self.counts) if a), 0j)
+        L = self.order
+        return sum((a * _root(k, L) for k, a in enumerate(self.counts) if a), 0j)
 
     def is_zero(self, tol: float = 1e-9) -> bool:
         """Numeric zero test; distinct exponent multisets may cancel exactly."""
@@ -129,7 +131,7 @@ class GeneratingCharacter:
         return sum(r * w for r, w in zip(a.residues, self._weights)) % self.order
 
     def value(self, a: RingElem) -> complex:
-        return _roots(self.order)[self.exponent(a)]
+        return _root(self.exponent(a), self.order)
 
 
 def generating_character(spec: RingSpec) -> GeneratingCharacter:
@@ -145,16 +147,19 @@ def fourier_coeff_coset(pres: CodePresentation, x: RingVec) -> ExponentSum:
     """Fourier coefficient of the code's indicator from its coset presentation.
 
     Supported exactly on the dual of D, where it equals
-    |D| * sum_j zeta^(-eps(x . d_j)).
+    |D| * sum_j zeta^(-eps(x . d_j)).  Each exponent eps(x . d_j) is one
+    integer dot product of x's flattened residues with the cached
+    pres.character_rows[j].
     """
-    eps = generating_character(pres.spec)
-    L = eps.order
+    L = pres.spec.char_order
     if not pres.dual_module().contains(x):
         return ExponentSum.zero(L)
+    flat = [a for coord in x.coords for a in coord]
+    scale_factor = pres.kernel.cardinality
     counts = [0] * L
-    for d in pres.representatives:
-        counts[(-eps.exponent(dot(x, d))) % L] += 1
-    return ExponentSum(L, tuple(counts)).scaled(pres.kernel.cardinality)
+    for row in pres.character_rows:
+        counts[-sum(map(mul, flat, row)) % L] += scale_factor
+    return ExponentSum(L, tuple(counts))
 
 
 def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
@@ -163,15 +168,15 @@ def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
     Supported exactly on the row span of H, where it equals
     (|R|^n / |row span|) * sum_j zeta^(-eps(S_x(j))).
     """
-    eps = generating_character(pcs.spec)
-    L = eps.order
+    L = pcs.spec.char_order
     s_x = pcs.s_row(x)
     if s_x is None:
         return ExponentSum.zero(L)
-    scale_factor = pcs.spec.cardinality**pcs.n // pcs.row_module.cardinality
+    weights = [L // t for t in pcs.spec.factors]
+    scale_factor = pcs.kernel_cardinality
     counts = [0] * L
-    for a in s_x:
-        counts[(-eps.exponent(a)) % L] += scale_factor
+    for residues in s_x.coords:
+        counts[-sum(map(mul, residues, weights)) % L] += scale_factor
     return ExponentSum(L, tuple(counts))
 
 
@@ -193,7 +198,6 @@ def poisson_sum(
     dual = pres.dual_module()
     eps = generating_character(spec)
     L = eps.order
-    roots = _roots(L)
     if f_hat is None:
         total = spec.cardinality**n
         if total > budget or dual.cardinality * total > budget:
@@ -205,7 +209,7 @@ def poisson_sum(
         def f_hat(x: RingVec) -> complex:
             acc = 0j
             for y, fy in table:
-                acc += fy * roots[(-eps.exponent(dot(x, y))) % L]
+                acc += fy * _root((-eps.exponent(dot(x, y))) % L, L)
             return acc
 
     reflected = CodePresentation(

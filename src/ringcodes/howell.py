@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -108,55 +109,69 @@ class HowellForm:
             card *= t // p
         return card
 
-    def reduce(self, v) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Greedy reduction of v down the pivot columns.
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Per Howell row: its pivot column, pivot, and entries from there on."""
+        return tuple(
+            (col, row[col], tuple(row[col:]))
+            for row, col in zip(self.matrix.tolist(), self.pivot_cols)
+        )
+
+    @cached_property
+    def _transform_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.transform.tolist()))
+
+    def reduce(self, v) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Greedy reduction of v down the pivot columns, in Python integers.
 
         Returns (coeffs, rest) with v = coeffs @ matrix + rest (mod t) and
         rest zero in every pivot column, or None when some pivot does not
         divide the entry left in its column.
         """
         t = self.modulus
-        v = np.asarray(v, dtype=np.int64) % t
-        if v.shape != (self.ncols,):
+        v = [int(a) % t for a in v]
+        if len(v) != self.ncols:
             raise ValueError("vector length does not match the ambient space")
-        coeffs = np.zeros(len(self.pivot_cols), dtype=np.int64)
-        for i, col in enumerate(self.pivot_cols):
-            p = int(self.matrix[i, col])
-            e = int(v[col])
-            if e % p:
+        coeffs = []
+        for col, p, tail in self._rows:
+            q, r = divmod(v[col], p)
+            if r:
                 return None
-            q = e // p
             if q:
-                v = (v - q * self.matrix[i]) % t
-            coeffs[i] = q
-        return coeffs, v
+                # a Howell row is zero before its pivot column
+                v[col:] = [(a - q * b) % t for a, b in zip(v[col:], tail)]
+            coeffs.append(q)
+        return tuple(coeffs), tuple(v)
 
-    def express(self, v) -> Optional[np.ndarray]:
+    def express(self, v) -> Optional[tuple[int, ...]]:
         """Coefficients c with c @ matrix = v (mod t), or None if v is outside.
 
         Greedy reduction down the pivot columns; correctness of the greedy
         choice is exactly the Howell span property.
         """
         reduced = self.reduce(v)
-        if reduced is None or reduced[1].any():
+        if reduced is None or any(reduced[1]):
             return None
         return reduced[0]
 
     def contains(self, v) -> bool:
         return self.express(v) is not None
 
-    def solve(self, v) -> Optional[np.ndarray]:
+    def solve(self, v) -> Optional[tuple[int, ...]]:
         """One x with x @ source = v (mod t), free directions zeroed, or None.
 
-        x is the greedy coefficients times the transform.  Each product is
-        reduced mod t before summing: a product is below t^2 < 2^62, but a
-        sum of several such products would overflow int64.
+        x is the greedy coefficients times the transform, summed exactly
+        in Python integers and reduced mod t once.
         """
         coeffs = self.express(v)
         if coeffs is None:
             return None
+        x = [0] * self.source_rows
+        for c, row in zip(coeffs, self._transform_rows):
+            if c:
+                x = [a + c * b for a, b in zip(x, row)]
         t = self.modulus
-        return (coeffs[:, None] * self.transform % t).sum(axis=0) % t
+        return tuple(a % t for a in x)
 
     def enumerate_span(self) -> Iterator[np.ndarray]:
         """All span elements exactly once, coefficient odometer order."""
@@ -265,7 +280,7 @@ def howell_form(mat, t: int) -> HowellForm:
     )
 
 
-def solve_rowspan(mat, b, t: int) -> Optional[np.ndarray]:
+def solve_rowspan(mat, b, t: int) -> Optional[tuple[int, ...]]:
     """One solution x of x @ mat = b over Z_t, or None.
 
     The free directions are left at zero: the returned x is coeffs @ transform

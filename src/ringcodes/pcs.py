@@ -17,9 +17,9 @@ dual of D and tabulating the reps' syndromes.
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .howell import HowellForm
 from .reach import SyndromeSpace
@@ -28,13 +28,12 @@ from .rings import (
     RingElem,
     RingSpec,
     RingVec,
-    from_components,
     scale,
     vec_add,
     vec_sub,
     zero_vec,
 )
-from .submodules import Submodule, factor_matrix, solve_right, syzygies
+from .submodules import Submodule, solve_forms, syzygies, transpose_forms
 
 
 class PCSValidationError(Exception):
@@ -98,36 +97,29 @@ class ParityCheckSystem:
         for row in s_rows:
             if row.spec != self.spec or len(row) != self.s:
                 raise ValueError("ragged or mixed-ring S")
-        # per-factor H for fast syndromes
-        self._h_mats = [
-            factor_matrix(self.spec, self.h_rows, f, self.n)
+        # per-factor rows of H as plain integers, for syndromes
+        self._h_ints = tuple(
+            tuple(row.component(f) for row in self.h_rows)
             for f in range(self.spec.nfactors)
-        ]
+        )
         self.s_cols = tuple(
             RingVec(self.spec, tuple(r.coords[j] for r in self.s_rows))
             for j in range(self.s)
         )
         self.syndrome_to_col = {col: j + 1 for j, col in enumerate(self.s_cols)}
-        self._row_module: Optional[Submodule] = None
-        self._kernel_module: Optional[Submodule] = None
-        self._hs_forms: Optional[tuple[HowellForm, ...]] = None
         self._syndrome_space: Optional[SyndromeSpace] = None
+        # (distance, witness), filled by distance.min_distance_witness
+        self._distance: Optional[tuple[int, RingVec]] = None
 
-    @property
+    @cached_property
     def row_module(self) -> Submodule:
         """The submodule of R^n generated by the rows of H."""
-        if self._row_module is None:
-            self._row_module = Submodule.from_generators(
-                self.spec, self.n, self.h_rows
-            )
-        return self._row_module
+        return Submodule.from_generators(self.spec, self.n, self.h_rows)
 
-    @property
+    @cached_property
     def kernel_module(self) -> Submodule:
         """D = {x : H x^T = 0}, the common kernel of the checks."""
-        if self._kernel_module is None:
-            self._kernel_module = self.row_module.annihilator()
-        return self._kernel_module
+        return self.row_module.annihilator()
 
     def syndrome_space(self) -> Optional[SyndromeSpace]:
         """The cached reachability tables, or None above DEFAULT_BUDGET bytes."""
@@ -140,13 +132,32 @@ class ParityCheckSystem:
     def syndrome(self, x: RingVec) -> RingVec:
         if x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
-        parts = []
-        for f, t in enumerate(self.spec.factors):
-            xs = np.array(x.component(f), dtype=np.int64)
-            parts.append((self._h_mats[f] * xs % t).sum(axis=1) % t)
-        return from_components(self.spec, parts)
+        parts = [
+            [sum(map(mul, row, xs)) % t for row in rows]
+            for rows, xs, t in zip(self._h_ints, x.components(), self.spec.factors)
+        ]
+        return RingVec(self.spec, tuple(zip(*parts)))
 
-    @property
+    @cached_property
+    def ht_forms(self) -> tuple[HowellForm, ...]:
+        """One Howell form of H^T per ring factor, for pulling syndromes back."""
+        return tuple(transpose_forms(self.h_rows))
+
+    def preimage(self, sigma: RingVec) -> Optional[RingVec]:
+        """One x with H x^T = sigma, free directions zeroed, or None."""
+        return solve_forms(self.spec, self.ht_forms, sigma)
+
+    @cached_property
+    def kernel_cardinality(self) -> int:
+        """|D| = |R|^n / |row span of H|, read off without building D.
+
+        Over a product of residue rings a submodule and its dual have
+        complementary sizes; this is also the scale of every system-side
+        Fourier coefficient.
+        """
+        return self.spec.cardinality**self.n // self.row_module.cardinality
+
+    @cached_property
     def hs_forms(self) -> tuple[HowellForm, ...]:
         """One Howell form of [H | S] per ring factor.
 
@@ -155,16 +166,14 @@ class ParityCheckSystem:
         pairs (h, S_h) for h in the row span of H, with S_h = r S for any r
         with r H = h (two such r differ by a row dependency of H).
         """
-        if self._hs_forms is None:
-            rows = [
-                RingVec(self.spec, h.coords + s.coords)
-                for h, s in zip(self.h_rows, self.s_rows)
-            ]
-            forms = Submodule.from_generators(self.spec, self.n + self.s, rows).forms
-            if any(col >= self.n for hf in forms for col in hf.pivot_cols):
-                raise InternalInconsistency("a pivot of [H | S] lies in S")
-            self._hs_forms = forms
-        return self._hs_forms
+        rows = [
+            RingVec(self.spec, h.coords + s.coords)
+            for h, s in zip(self.h_rows, self.s_rows)
+        ]
+        forms = Submodule.from_generators(self.spec, self.n + self.s, rows).forms
+        if any(col >= self.n for hf in forms for col in hf.pivot_cols):
+            raise InternalInconsistency("a pivot of [H | S] lies in S")
+        return forms
 
     def s_row(self, x: RingVec) -> Optional[RingVec]:
         """S_x, paired with x in the span of [H | S], or None outside the row span.
@@ -175,15 +184,16 @@ class ParityCheckSystem:
         if x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
         parts = []
-        for f, hf in enumerate(self.hs_forms):
-            reduced = hf.reduce(x.component(f) + (0,) * self.s)
-            if reduced is None or reduced[1][: self.n].any():
+        for hf, xs in zip(self.hs_forms, x.components()):
+            reduced = hf.reduce(xs + (0,) * self.s)
+            if reduced is None or any(reduced[1][: self.n]):
                 return None
-            parts.append(-reduced[1][self.n :])
-        return from_components(self.spec, parts)
+            t = hf.modulus
+            parts.append([-a % t for a in reduced[1][self.n :]])
+        return RingVec(self.spec, tuple(zip(*parts)))
 
     def code_cardinality(self) -> int:
-        return self.s * self.kernel_module.cardinality
+        return self.s * self.kernel_cardinality
 
     def __repr__(self) -> str:
         return (
@@ -261,6 +271,20 @@ class CodePresentation:
                     )
         self._dual: Optional[Submodule] = None
 
+    @cached_property
+    def character_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per representative d, its flattened residues d_(i,f) * L / t_f.
+
+        With L = lcm(t_f), the generating character sends x . d to zeta_L^e
+        with e = sum over (i, f) of x_(i,f) * row_(i,f), taken mod L.
+        """
+        L = self.spec.char_order
+        weights = [L // t for t in self.spec.factors]
+        return tuple(
+            tuple(a * w for coord in d.coords for a, w in zip(coord, weights))
+            for d in self.representatives
+        )
+
     @property
     def s(self) -> int:
         return len(self.representatives)
@@ -314,7 +338,7 @@ def pcs_to_code(pcs: ParityCheckSystem) -> CodePresentation:
     """Recover the coset presentation: D is the common kernel, reps solve H x = col."""
     reps = []
     for j, col in enumerate(pcs.s_cols):
-        x = solve_right(pcs.h_rows, col)
+        x = pcs.preimage(col)
         if x is None:
             raise InternalInconsistency(
                 f"column {j + 1} of a validated system has no preimage"
@@ -353,7 +377,7 @@ def kernel(pcs: ParityCheckSystem) -> Submodule:
     ]
     gens = list(pcs.kernel_module.canonical_generators())
     for sigma in kernel_syndromes:
-        x = solve_right(pcs.h_rows, sigma)
+        x = pcs.preimage(sigma)
         if x is None:
             raise InternalInconsistency("kernel syndrome has no preimage")
         gens.append(x)

@@ -196,6 +196,12 @@ class RingVec:
         """Residues of factor f across all coordinates (a Z_{t_f} vector)."""
         return tuple(c[f] for c in self.coords)
 
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """component(f) for every factor f, in one pass."""
+        if not self.coords:
+            return ((),) * len(self.spec.factors)
+        return tuple(zip(*self.coords))
+
     def __str__(self) -> str:
         return "[" + " ".join(str(RingElem(self.spec, c)) for c in self.coords) + "]"
 

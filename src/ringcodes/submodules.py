@@ -66,10 +66,7 @@ class Submodule:
     def contains(self, x: RingVec) -> bool:
         if x.spec != self.spec or len(x) != self.ambient_n:
             raise ValueError("vector does not live in the ambient space")
-        return all(
-            hf.contains(np.array(x.component(f), dtype=np.int64))
-            for f, hf in enumerate(self.forms)
-        )
+        return all(map(HowellForm.contains, self.forms, x.components()))
 
     def canonical_generators(self) -> tuple[RingVec, ...]:
         """Howell rows lifted factor by factor; spans the module, may be empty."""
@@ -150,44 +147,47 @@ def syzygies(spec: RingSpec, rows: Sequence[RingVec]) -> Submodule:
     return out
 
 
-def solve_right(rows: Sequence[RingVec], b: RingVec) -> Optional[RingVec]:
-    """One x with M x^T = b^T for M the matrix with the given rows, else None.
+def solve_forms(spec: RingSpec, forms: Sequence[HowellForm], b: RingVec) -> Optional[RingVec]:
+    """One x with x @ source_f = b_f for every factor's form, or None.
 
-    Solved factor by factor through the Howell form of M^T; the greedy
-    coefficients leave every free direction at zero, so the answer is a
-    deterministic function of (rows, b).
+    The greedy coefficients leave every free direction at zero, so the
+    answer is a deterministic function of the forms and b.
     """
-    m = len(rows)
-    if m == 0:
-        raise ValueError("need at least one row")
-    spec = rows[0].spec
-    n = len(rows[0])
-    if len(b) != m:
-        raise ValueError("right-hand side length must match the number of rows")
     parts = []
-    for f, t in enumerate(spec.factors):
-        mat = factor_matrix(spec, rows, f, n)
-        x = howell_form(mat.T.copy(), t).solve(b.component(f))
+    for f, hf in enumerate(forms):
+        x = hf.solve(b.component(f))
         if x is None:
             return None
         parts.append(x)
     return from_components(spec, parts)
 
 
+def transpose_forms(rows: Sequence[RingVec]) -> list[HowellForm]:
+    """Per factor, the Howell form of M^T for M the matrix with these rows.
+
+    Solving b against these forms gives x with M x^T = b^T.
+    """
+    spec, n = rows[0].spec, len(rows[0])
+    return [
+        howell_form(factor_matrix(spec, rows, f, n).T, t)
+        for f, t in enumerate(spec.factors)
+    ]
+
+
+def solve_right(rows: Sequence[RingVec], b: RingVec) -> Optional[RingVec]:
+    """One x with M x^T = b^T for M the matrix with the given rows, else None."""
+    if not rows:
+        raise ValueError("need at least one row")
+    if len(b) != len(rows):
+        raise ValueError("right-hand side length must match the number of rows")
+    return solve_forms(rows[0].spec, transpose_forms(rows), b)
+
+
 def solve_left(rows: Sequence[RingVec], x: RingVec) -> Optional[RingVec]:
     """Coefficients r in R^m with sum_i r_i rows_i = x, or None."""
-    m = len(rows)
-    if m == 0:
+    if not rows:
         raise ValueError("need at least one row")
-    spec = rows[0].spec
-    n = len(rows[0])
+    spec, n = rows[0].spec, len(rows[0])
     if len(x) != n:
         raise ValueError("target length must match the row length")
-    parts = []
-    for f, t in enumerate(spec.factors):
-        mat = factor_matrix(spec, rows, f, n)
-        r = howell_form(mat, t).solve(x.component(f))
-        if r is None:
-            return None
-        parts.append(r)
-    return from_components(spec, parts)
+    return solve_forms(spec, Submodule.from_generators(spec, n, rows).forms, x)

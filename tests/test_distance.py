@@ -5,7 +5,9 @@ import random
 import pytest
 
 from ringcodes import (
+    DEFAULT_BUDGET,
     BeyondRadius,
+    BudgetExceeded,
     CodePresentation,
     DegenerateCode,
     Submodule,
@@ -27,6 +29,7 @@ from ringcodes import (
     weight_shell,
     zero_vec,
 )
+from ringcodes import distance
 from ringcodes.distance import DecodeResult, _shell_errors, _shell_witness
 from ringcodes.reach import ReachTable, SyndromeSpace
 from conftest import Z6, random_instance, random_linear_instance, rv
@@ -293,3 +296,36 @@ def test_second_decode_reuses_the_table(monkeypatch):
     assert built == ["SyndromeSpace", "ReachTable"]
     assert first.codeword == rv(spec, (1, 1, 1, 1, 1))
     assert second.codeword == rv(spec, (2, 2, 2, 2, 2))
+
+
+def test_second_decode_above_the_table_budget_searches_no_shells(monkeypatch):
+    searches = []
+    real = distance._shell_witness
+    monkeypatch.setattr(distance, "_shell_witness", lambda pcs: searches.append(1) or real(pcs))
+    pcs, spec = repetition_pcs("Z3xZ4", 4)
+    assert pcs.syndrome_space() is None
+    first = decode(pcs, rv(spec, ((2, 3), (2, 3), (2, 3), (0, 3))))
+    second = decode(pcs, rv(spec, ((1, 1), (1, 1), (1, 2), (1, 1))))
+    assert searches == [1]
+    assert first.codeword == rv(spec, ((2, 3),) * 4)
+    assert second.codeword == rv(spec, ((1, 1),) * 4)
+    assert min_distance(pcs) == 4 and searches == [1]
+
+
+def test_shell_search_beyond_the_state_budget_raises():
+    # one check row over Z1000003: the tables and the weight-1 shell are too big
+    spec = parse_ring("Z1000003")
+    n = 11
+    pcs = validate_pcs([rv(spec, [1] * n)], [rv(spec, [0])])
+    assert pcs.syndrome_space() is None
+    needed = 1 + n * (spec.cardinality - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance_witness(pcs)
+    assert (exc.value.needed, exc.value.budget) == (needed, DEFAULT_BUDGET)
+    assert exc.value.what == "weight-shell search"
+    # a codeword is decoded in shell 0; any other word needs shell 1
+    codeword = rv(spec, [1, -1] + [0] * (n - 2))
+    assert decode(pcs, codeword, min_dist=3).error_weight == 0
+    with pytest.raises(BudgetExceeded) as exc:
+        decode(pcs, rv(spec, [1] + [0] * (n - 1)), min_dist=3)
+    assert exc.value.needed == needed

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,7 @@ from ringcodes import (
 )
 from conftest import (
     OUTSIDE_RINGS,
+    PROPERTY_RINGS,
     Z6,
     code_words,
     random_instance,
@@ -229,6 +231,37 @@ def test_fourier_routes_agree_outside_property_rings():
         for x in list(pcs.row_module.enumerate()) + off_span:
             assert fourier_coeff_pcs(pcs, x) == fourier_coeff_coset(pres, x)
             assert (pcs.s_row(x) is None) == (not pcs.row_module.contains(x))
+
+
+def test_fourier_routes_agree_on_chosen_representatives():
+    # the coset route reads the drawn presentation itself, never pcs_to_code
+    rng = random.Random(9091)
+    for _ in range(20):
+        pcs, pres = random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)
+        off_span = [random_vec(rng, pcs.spec, pcs.n) for _ in range(15)]
+        for x in list(pcs.row_module.enumerate()) + off_span:
+            assert fourier_coeff_pcs(pcs, x) == fourier_coeff_coset(pres, x)
+
+
+def test_evaluate_keeps_no_table_of_roots():
+    spec = parse_ring("Z1009xZ997")
+    L = spec.char_order
+    counts = [0] * L
+    counts[0], counts[5], counts[L - 1] = 3, -2, 7
+    es = ExponentSum(L, tuple(counts))
+    eps = generating_character(spec)
+    a = spec.elem([5, 7])
+    tracemalloc.start()
+    try:
+        value = es.evaluate()
+        chi = eps.value(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    root = [cmath.exp(2j * cmath.pi * k / L) for k in (0, 5, L - 1)]
+    assert value == 3 * root[0] - 2 * root[1] + 7 * root[2]
+    assert chi == cmath.exp(2j * cmath.pi * eps.exponent(a) / L)
 
 
 def test_fourier_coset_route_with_independent_presentation(z6_pres, z6_pcs):

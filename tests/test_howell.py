@@ -193,3 +193,60 @@ def test_solve_rowspan_golden_and_random():
 def test_solve_rowspan_all_zero_rows():
     assert solve_rowspan(np.zeros((2, 3), dtype=np.int64), [0, 0, 0], 6) is not None
     assert solve_rowspan(np.zeros((2, 3), dtype=np.int64), [1, 0, 0], 6) is None
+
+
+def plain_greedy(hf, v):
+    """The greedy pivot reduction written out on Python integer lists."""
+    t = hf.modulus
+    rows = [[int(a) for a in row] for row in hf.matrix]
+    v = [int(a) % t for a in v]
+    coeffs = []
+    for row, col in zip(rows, hf.pivot_cols):
+        q, r = divmod(v[col], row[col])
+        if r:
+            return None
+        v = [(a - q * b) % t for a, b in zip(v, row)]
+        coeffs.append(q)
+    return tuple(coeffs), tuple(v)
+
+
+def combine(coeffs, rows, t, n):
+    """sum_i coeffs_i * rows_i mod t over n columns, in Python integers."""
+    return tuple(
+        sum(int(c) * int(r[j]) for c, r in zip(coeffs, rows)) % t for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("t", [2147483629, 8, 12])
+def test_integer_reduction_matches_a_plain_int_reference(t):
+    rng = random.Random(t % 10007)
+    for _ in range(25):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randrange(t) for _ in range(n)] for _ in range(m)]
+        hf = howell_form(rows, t)
+        span = brute_span(rows, n, t) if t < 100 else None
+        inside = combine([rng.randrange(t) for _ in rows], rows, t, n)
+        others = [tuple(rng.randrange(t) for _ in range(n)) for _ in range(4)]
+        for v in [inside] + others:
+            # unreduced and numpy input reduce like their residues, to Python ints
+            for given in (v, [a - 3 * t for a in v], np.array(v, dtype=np.int64)):
+                got = hf.reduce(given)
+                assert got == plain_greedy(hf, v)
+                assert got is None or all(type(a) is int for a in got[0] + got[1])
+            coeffs = hf.express(v)
+            reduced = plain_greedy(hf, v)
+            if reduced is not None and not any(reduced[1]):
+                assert coeffs == reduced[0]
+                assert combine(coeffs, hf.matrix, t, n) == v
+            else:
+                assert coeffs is None
+            assert hf.contains(v) == (coeffs is not None)
+            if span is not None:
+                assert hf.contains(v) == (v in span)
+            x = hf.solve(v)
+            assert (x is None) == (coeffs is None)
+            if x is not None:
+                assert len(x) == m and combine(x, rows, t, n) == v
+        assert hf.contains(inside)
+    with pytest.raises(ValueError):
+        hf.reduce([0] * (n + 1))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ringcodes.pcs as pcsmod
 from ringcodes import (
     CodePresentation,
     ConditionIIIViolation,
@@ -26,6 +27,7 @@ from ringcodes import (
     parse_ring,
     pcs_to_code,
     scale,
+    solve_right,
     validate_pcs,
     vec_add,
     vec_sub,
@@ -116,6 +118,40 @@ def test_member_agrees_with_scan_on_golden(z6_pcs):
         assert (j is not None) == (x in words)
         hits += j is not None
     assert hits == 216
+
+
+def test_syndrome_is_exact_over_a_large_modulus():
+    spec = parse_ring("Z2147483629")
+    (t,) = spec.factors
+    rng = random.Random(2029)
+    for _ in range(10):
+        rows = [RingVec.of(spec, [rng.randrange(t) for _ in range(10)]) for _ in range(6)]
+        pcs = ParityCheckSystem(rows, [zero_vec(spec, 1)] * 6)
+        for _ in range(5):
+            x = RingVec.of(spec, [rng.randrange(t) for _ in range(10)])
+            want = [sum(a[0] * b[0] for a, b in zip(r.coords, x.coords)) % t for r in rows]
+            assert [c[0] for c in pcs.syndrome(x).coords] == want
+
+
+def test_syndrome_of_an_empty_word():
+    spec = parse_ring("Z2xZ3")
+    pcs = validate_pcs([RingVec(spec, ())] * 2, [RingVec.of(spec, [0])] * 2)
+    assert pcs.syndrome(RingVec(spec, ())) == zero_vec(spec, 2)
+
+
+def test_columns_are_pulled_back_through_one_cached_form(monkeypatch):
+    built = []
+    real = pcsmod.transpose_forms
+    monkeypatch.setattr(pcsmod, "transpose_forms", lambda rows: built.append(1) or real(rows))
+    rng = random.Random(515)
+    for _ in range(10):
+        pcs, _ = random_instance(rng, rings=["Z6", "Z3xZ4", "Z2xZ4"], space_cap=300)
+        built.clear()
+        pres = pcs_to_code(pcs)
+        assert pres.representatives == tuple(solve_right(pcs.h_rows, c) for c in pcs.s_cols)
+        assert pcs_to_code(pcs).representatives == pres.representatives
+        assert set(kernel(pcs).enumerate()) == set(oracle_kernel(oracle_code_from_pcs(pcs)))
+        assert built == [1]
 
 
 def test_pcs_to_code_recovers_the_cosets(z6_pcs):

@@ -292,3 +292,38 @@ def test_from_generators_rejects_mismatches():
 
 def test_repr_mentions_cardinality():
     assert "72" in repr(z6_kernel())
+
+
+def test_product_ring_membership_and_solves_in_plain_integers():
+    spec = parse_ring("Z2147483629xZ12")
+    rng = random.Random(31)
+    for _ in range(15):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [random_vec(rng, spec, n) for _ in range(m)]
+        module = Submodule.from_generators(spec, n, rows)
+        coeffs = [random_vec(rng, spec, 1).coords[0] for _ in rows]
+        inside = RingVec(spec, tuple(
+            tuple(sum(c[f] * r.coords[j][f] for c, r in zip(coeffs, rows)) % t
+                  for f, t in enumerate(spec.factors))
+            for j in range(n)
+        ))
+        assert module.contains(inside)
+        r = solve_left(rows, inside)
+        assert r is not None
+        assert all(
+            sum(r.coords[i][f] * rows[i].coords[j][f] for i in range(m)) % t
+            == inside.coords[j][f]
+            for j in range(n) for f, t in enumerate(spec.factors)
+        )
+        y = random_vec(rng, spec, n)
+        b = RingVec.of(spec, [dot(row, y) for row in rows])
+        x = solve_right(rows, b)
+        assert x is not None
+        assert all(
+            sum(a[f] * c[f] for a, c in zip(row.coords, x.coords)) % t == b.coords[i][f]
+            for i, row in enumerate(rows) for f, t in enumerate(spec.factors)
+        )
+    # a zero divisor in the Z12 factor generates a proper ideal there
+    half = Submodule.from_generators(spec, 1, [rv(spec, [(1, 2)])])
+    assert not half.contains(rv(spec, [(0, 1)]))
+    assert half.contains(rv(spec, [(5, 4)]))
