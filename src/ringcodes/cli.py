@@ -18,7 +18,6 @@ from .distance import (
     DegenerateCode,
     decode,
     min_distance_witness,
-    sdiff,
 )
 from .enumerator import distance_distribution, pcs_enumerator_poly
 from .formats import (
@@ -39,11 +38,13 @@ from .oracle import (
     oracle_kernel,
     oracle_min_distance,
     oracle_nearest,
+    oracle_validate,
 )
 from .pcs import (
     ConditionIIIViolation,
     ConditionIIViolation,
     ConditionIViolation,
+    InternalInconsistency,
     PCSValidationError,
     code_to_pcs,
     is_linear,
@@ -51,7 +52,6 @@ from .pcs import (
     pcs_to_code,
 )
 from .rings import BudgetExceeded, RingVec, dot, vec_add, vec_sub
-from .submodules import Submodule
 
 
 def _elem_json(e):
@@ -100,8 +100,6 @@ def cmd_validate(args) -> int:
                "witness": _vec_json(exc.witness)})
         return 2
     if args.oracle:
-        from .oracle import oracle_validate
-
         verdict = oracle_validate(pcs.h_rows, pcs.s_rows)
         if verdict is not None:  # pragma: no cover - main path validated already
             cond, witness = verdict
@@ -118,8 +116,6 @@ def cmd_validate(args) -> int:
 
 def _oracle_crosscheck_words(pcs) -> None:
     """Compare the system's code with the brute-force scan, word for word."""
-    from .pcs import InternalInconsistency
-
     pres = pcs_to_code(pcs)
     words = set()
     for d in pres.representatives:

@@ -26,8 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .howell import span_blocks
 from .pcs import ParityCheckSystem, is_linear, pcs_to_code
 from .rings import DEFAULT_BUDGET, BudgetExceeded
@@ -87,8 +85,10 @@ def _divide_exact(values: Sequence[int], divisor: int) -> list[int]:
     return out
 
 
-def _weights(block: list[np.ndarray], n: int) -> np.ndarray:
-    """Hamming weight of the first n coordinates of each point of a span block."""
+def _weights(block, n: int):
+    """Hamming weights of the first n coordinates of a span block's points, as an array."""
+    import numpy as np
+
     return np.logical_or.reduce([part[:, :n] != 0 for part in block]).sum(axis=1)
 
 
@@ -117,6 +117,8 @@ def _mobius_phi(d: int, primes: Sequence[int]) -> tuple[int, int]:
 
 def _weight_bins(pcs: ParityCheckSystem, budget: int) -> list[int]:
     """Exact sum of |Fourier coefficient|^2 per weight over the row span of H."""
+    import numpy as np
+
     card = pcs.row_module.cardinality
     if card > budget:
         raise BudgetExceeded(card, budget, "row span walk")
@@ -196,6 +198,8 @@ def weight_enumerator_linear(
     MacWilliams-transforms its weight enumerator.  The routes must agree
     coefficient by coefficient; a mismatch means a bug, not bad input.
     """
+    import numpy as np
+
     if not is_linear(pcs):
         raise ValueError("the code of this system is not linear")
     size = pcs.code_cardinality()

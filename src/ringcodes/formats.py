@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .pcs import CodePresentation, ParityCheckSystem, code_to_pcs, validate_pcs
-from .rings import RingElem, RingSpec, RingVec, parse_ring
+from .rings import RingElem, RingSpec, RingVec, parse_ring, zero_vec
 from .submodules import Submodule
 
 
@@ -211,8 +211,6 @@ def serialize_code(pres: CodePresentation) -> str:
     lines = [str(pres.spec), "code"]
     gens = pres.kernel.canonical_generators()
     if not gens:
-        from .rings import zero_vec
-
         gens = (zero_vec(pres.spec, pres.n),)
     for g in gens:
         lines.append(format_vector(g))

@@ -9,6 +9,9 @@ generating sets span the same submodule of Z_t^n exactly when their Howell
 forms are equal, which makes membership, cardinality, solving and kernel
 computations mechanical.
 
+The forms are computed and held as tuples of Python ints, exact for any
+modulus; only the block walk over a span uses numpy.
+
 Everything here works on a single modulus; product rings are handled one
 factor at a time by the callers.
 """
@@ -18,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -80,53 +84,60 @@ def annihilator_generator(b: int, t: int) -> int:
     return t // math.gcd(b % t, t)
 
 
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _array(rows: Rows, ncols: int) -> np.ndarray:
+    import numpy as np
+
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+
 @dataclass
 class HowellForm:
     """Canonical presentation of the row span of a matrix over Z_t.
 
-    matrix      k x n, the nonzero Howell rows (k may be 0)
-    pivot_cols  column index of each row's leading entry, strictly increasing
-    transform   k x m with transform @ source = matrix (mod t)
-    kernel      r x m; its rows generate {c in Z_t^m : c @ source = 0}
+    rows            k rows of length n, the nonzero Howell rows (k may be 0)
+    pivot_cols      column index of each row's leading entry, strictly increasing
+    transform_rows  k rows of length m with transform @ source = rows (mod t)
+    kernel_rows     rows of length m generating {c in Z_t^m : c @ source = 0}
+
+    matrix, transform and kernel are the same three as int64 arrays, built
+    on first access.
     """
 
     modulus: int
     ncols: int
     source_rows: int
-    matrix: np.ndarray
+    rows: Rows
     pivot_cols: tuple[int, ...]
-    transform: np.ndarray
-    kernel: np.ndarray
+    transform_rows: Rows
+    kernel_rows: Rows
+
+    matrix = cached_property(lambda self: _array(self.rows, self.ncols))
+    transform = cached_property(lambda self: _array(self.transform_rows, self.source_rows))
+    kernel = cached_property(lambda self: _array(self.kernel_rows, self.source_rows))
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(int(self.matrix[i, c]) for i, c in enumerate(self.pivot_cols))
+        return tuple(row[c] for row, c in zip(self.rows, self.pivot_cols))
 
     def span_cardinality(self) -> int:
-        t = self.modulus
-        card = 1
-        for p in self.pivots:
-            card *= t // p
-        return card
+        return math.prod(self.modulus // p for p in self.pivots)
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         """Per Howell row: its pivot column, pivot, and entries from there on."""
-        return tuple(
-            (col, row[col], tuple(row[col:]))
-            for row, col in zip(self.matrix.tolist(), self.pivot_cols)
-        )
+        return tuple((col, row[col], row[col:]) for row, col in zip(self.rows, self.pivot_cols))
 
-    @cached_property
-    def _transform_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.transform.tolist()))
+    def divide(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(coeffs, rest) with v = coeffs @ rows + rest (mod t), in Python ints.
 
-    def reduce(self, v) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Greedy reduction of v down the pivot columns, in Python integers.
-
-        Returns (coeffs, rest) with v = coeffs @ matrix + rest (mod t) and
-        rest zero in every pivot column, or None when some pivot does not
-        divide the entry left in its column.
+        Greedy division leaves 0 <= rest[col] < pivot in each pivot column,
+        and rest is the same for every vector of the coset v + span: the
+        difference of two rests is a span element with first pivot entry
+        strictly between -pivot and pivot, hence 0, and by the Howell
+        property the remainder of it is spanned by the later rows.
         """
         t = self.modulus
         v = [int(a) % t for a in v]
@@ -134,25 +145,25 @@ class HowellForm:
             raise ValueError("vector length does not match the ambient space")
         coeffs = []
         for col, p, tail in self._rows:
-            q, r = divmod(v[col], p)
-            if r:
-                return None
+            q = v[col] // p
             if q:
                 # a Howell row is zero before its pivot column
                 v[col:] = [(a - q * b) % t for a, b in zip(v[col:], tail)]
             coeffs.append(q)
         return tuple(coeffs), tuple(v)
 
-    def express(self, v) -> Optional[tuple[int, ...]]:
-        """Coefficients c with c @ matrix = v (mod t), or None if v is outside.
+    def reduce(self, v) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """divide(v) when rest is zero in every pivot column, else None."""
+        coeffs, rest = self.divide(v)
+        return None if any(rest[c] for c in self.pivot_cols) else (coeffs, rest)
 
-        Greedy reduction down the pivot columns; correctness of the greedy
-        choice is exactly the Howell span property.
+    def express(self, v) -> Optional[tuple[int, ...]]:
+        """Coefficients c with c @ rows = v (mod t), or None if v is outside.
+
+        Correctness of the greedy choice is exactly the Howell span property.
         """
-        reduced = self.reduce(v)
-        if reduced is None or any(reduced[1]):
-            return None
-        return reduced[0]
+        coeffs, rest = self.divide(v)
+        return None if any(rest) else coeffs
 
     def contains(self, v) -> bool:
         return self.express(v) is not None
@@ -167,7 +178,7 @@ class HowellForm:
         if coeffs is None:
             return None
         x = [0] * self.source_rows
-        for c, row in zip(coeffs, self._transform_rows):
+        for c, row in zip(coeffs, self.transform_rows):
             if c:
                 x = [a + c * b for a, b in zip(x, row)]
         t = self.modulus
@@ -193,6 +204,8 @@ def span_blocks(forms: Sequence[HowellForm]) -> Iterator[list[np.ndarray]]:
     order.  That is one mixed-radix count over all rows of all forms, row
     i running through 0 .. t / pivot_i - 1, cut into runs of _BLOCK.
     """
+    import numpy as np
+
     digits = [
         (f, row, hf.modulus // int(row[col]))
         for f, hf in enumerate(forms)
@@ -218,66 +231,73 @@ def span_blocks(forms: Sequence[HowellForm]) -> Iterator[list[np.ndarray]]:
         yield block
 
 
-def howell_form(mat, t: int) -> HowellForm:
-    """Compute the Howell form, row transform and left kernel of mat mod t."""
+def _combine(a: int, x: list[int], b: int, y: list[int], t: int) -> list[int]:
+    return [(a * p + b * q) % t for p, q in zip(x, y)]
+
+
+def howell_rows(rows: Sequence[Sequence[int]], ncols: int, t: int) -> HowellForm:
+    """howell_form of a list of integer rows of length ncols.
+
+    The row operations run on [W | T], W the residues of the rows and T
+    the identity, so that T records the transform; the rows whose W part
+    ends up zero are the kernel.
+    """
     if t < 2:
         raise ValueError("modulus must be >= 2")
-    W = np.array(mat, dtype=np.int64)
-    if W.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    W = W % t
-    m, ncols = W.shape
-    T = np.eye(m, dtype=np.int64)
+    m = len(rows)
+    WT = [[a % t for a in row] + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    pivot_cols = []
     r = 0
     for col in range(ncols):
         # find a row with a nonzero entry in this column, at or below r
-        j = r
-        while j < len(W) and W[j, col] == 0:
-            j += 1
-        if j == len(W):
+        j = next((i for i in range(r, len(WT)) if WT[i][col]), None)
+        if j is None:
             continue
-        if j > r:
-            W[[r, j]] = W[[j, r]]
-            T[[r, j]] = T[[j, r]]
+        WT[r], WT[j] = WT[j], WT[r]
         # normalize the pivot to gcd(pivot, t), a divisor of t
-        u = stab_unit(int(W[r, col]), t)
+        u = stab_unit(WT[r][col], t)
         if u != 1:
-            W[r] = (W[r] * u) % t
-            T[r] = (T[r] * u) % t
+            WT[r] = [a * u % t for a in WT[r]]
         # clear the column below with determinant-one combinations
-        for i in range(r + 1, len(W)):
-            if W[i, col]:
-                g, s, tt, uu, vv = split_gcd(int(W[r, col]), int(W[i, col]), t)
-                new_r = (s * W[r] + tt * W[i]) % t
-                new_i = (uu * W[r] + vv * W[i]) % t
-                W[r], W[i] = new_r, new_i
-                new_tr = (s * T[r] + tt * T[i]) % t
-                new_ti = (uu * T[r] + vv * T[i]) % t
-                T[r], T[i] = new_tr, new_ti
-        b = int(W[r, col])
+        for i in range(r + 1, len(WT)):
+            if WT[i][col]:
+                g, s, tt, uu, vv = split_gcd(WT[r][col], WT[i][col], t)
+                WT[r], WT[i] = _combine(s, WT[r], tt, WT[i], t), _combine(uu, WT[r], vv, WT[i], t)
+        b = WT[r][col]
         # entries above the pivot are reduced to their residue mod the pivot
         for i in range(r):
-            q = int(W[i, col]) // b
+            q = WT[i][col] // b
             if q:
-                W[i] = (W[i] - q * W[r]) % t
-                T[i] = (T[i] - q * T[r]) % t
+                WT[i] = _combine(1, WT[i], -q, WT[r], t)
         # a zero-divisor pivot hides span elements; append its annihilator row
         a = annihilator_generator(b, t)
         if a % t:
-            W = np.vstack([W, (a * W[r]) % t])
-            T = np.vstack([T, (a * T[r]) % t])
+            WT.append([a * x % t for x in WT[r]])
+        pivot_cols.append(col)
         r += 1
-    howell = W[:r].copy()
-    pivot_cols = tuple(int(np.flatnonzero(row)[0]) for row in howell)
     return HowellForm(
         modulus=t,
         ncols=ncols,
         source_rows=m,
-        matrix=howell,
-        pivot_cols=pivot_cols,
-        transform=T[:r].copy(),
-        kernel=T[r:].copy(),
+        rows=tuple(tuple(row[:ncols]) for row in WT[:r]),
+        pivot_cols=tuple(pivot_cols),
+        transform_rows=tuple(tuple(row[ncols:]) for row in WT[:r]),
+        kernel_rows=tuple(tuple(row[ncols:]) for row in WT[r:]),
     )
+
+
+def howell_form(mat, t: int) -> HowellForm:
+    """Compute the Howell form, row transform and left kernel of mat mod t.
+
+    mat is a 2-d integer array or a sequence of equal-length integer rows.
+    """
+    try:
+        rows = [[int(a) for a in row] for row in mat]
+        # one row length; an array gives its own even when it has no rows
+        (ncols,) = mat.shape[1:] if hasattr(mat, "shape") else {len(row) for row in rows}
+    except (TypeError, ValueError):
+        raise ValueError("expected a 2-d matrix") from None
+    return howell_rows(rows, ncols, t)
 
 
 def solve_rowspan(mat, b, t: int) -> Optional[tuple[int, ...]]:

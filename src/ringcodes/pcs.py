@@ -28,6 +28,7 @@ from .rings import (
     RingElem,
     RingSpec,
     RingVec,
+    dot,
     scale,
     vec_add,
     vec_sub,
@@ -178,18 +179,18 @@ class ParityCheckSystem:
     def s_row(self, x: RingVec) -> Optional[RingVec]:
         """S_x, paired with x in the span of [H | S], or None outside the row span.
 
-        Greedily reducing [x | 0] by hs_forms clears the H part exactly when
+        Greedily dividing [x | 0] by hs_forms clears the H part exactly when
         x is in the row span, and leaves -S_x in the S part.
         """
         if x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
         parts = []
         for hf, xs in zip(self.hs_forms, x.components()):
-            reduced = hf.reduce(xs + (0,) * self.s)
-            if reduced is None or any(reduced[1][: self.n]):
+            rest = hf.divide(xs + (0,) * self.s)[1]
+            if any(rest[: self.n]):
                 return None
             t = hf.modulus
-            parts.append([-a % t for a in reduced[1][self.n :]])
+            parts.append([-a % t for a in rest[self.n :]])
         return RingVec(self.spec, tuple(zip(*parts)))
 
     def code_cardinality(self) -> int:
@@ -262,13 +263,17 @@ class CodePresentation:
         for d in self.representatives:
             if d.spec != self.spec or len(d) != self.n:
                 raise ValueError("representative outside the ambient space")
-        reps = self.representatives
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                if kernel.contains(vec_sub(reps[a], reps[b])):
-                    raise ValueError(
-                        f"representatives {a + 1} and {b + 1} present the same coset"
-                    )
+        # equal remainders modulo D mean one coset; name the least such pair
+        first: dict[tuple, int] = {}
+        clashes = []
+        for j, d in enumerate(self.representatives):
+            key = tuple(hf.divide(c)[1] for hf, c in zip(kernel.forms, d.components()))
+            i = first.setdefault(key, j)
+            if i != j:
+                clashes.append((i, j))
+        if clashes:
+            i, j = min(clashes)
+            raise ValueError(f"representatives {i + 1} and {j + 1} present the same coset")
         self._dual: Optional[Submodule] = None
 
     @cached_property
@@ -327,8 +332,6 @@ def code_to_pcs(
         if not h_rows:
             h_rows = (zero_vec(spec, pres.n),)
     s_rows = []
-    from .rings import dot
-
     for h in h_rows:
         s_rows.append(RingVec.of(spec, [dot(h, d) for d in pres.representatives]))
     return validate_pcs(h_rows, tuple(s_rows))

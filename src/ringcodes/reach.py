@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .rings import RingSpec, RingVec
 
 
@@ -34,6 +32,8 @@ class SyndromeSpace:
     """
 
     def __init__(self, spec: RingSpec, h_rows: Sequence[RingVec]):
+        import numpy as np
+
         self.spec = spec
         self.n = len(h_rows[0])
         self.nonzero = [e.residues for e in spec.elements() if any(e.residues)]
@@ -89,12 +89,16 @@ class ReachTable:
     """
 
     def __init__(self, space: SyndromeSpace, seeds: Iterable[int]):
+        import numpy as np
+
         self.space = space
         self.seed = np.zeros(space.size, dtype=bool)
         self.seed[list(seeds)] = True
         self._layers = [np.tile(self.seed, (space.n + 1, 1))]
 
-    def layer(self, w: int) -> np.ndarray:
+    def layer(self, w: int):
+        import numpy as np
+
         n, gathers = self.space.n, self.space.gathers
         while len(self._layers) <= w:
             prev = self._layers[-1]
@@ -118,6 +122,8 @@ class ReachTable:
         completed; the values follow the same way on that support.
         Requires reaches(rho, w).
         """
+        import numpy as np
+
         space = self.space
         n, gathers = space.n, space.gathers
         # reach: every rho - H y^T for y with nonzero values on the support so far

@@ -9,6 +9,7 @@ Elements are stored as reduced residue tuples, one residue per factor.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -113,29 +114,18 @@ class RingElem:
     spec: RingSpec
     residues: tuple[int, ...]
 
-    def _check(self, other: "RingElem") -> None:
+    def _combine(self, other: "RingElem", op) -> "RingElem":
+        """op residue by residue, reduced mod each factor."""
         if self.spec != other.spec:
             raise ValueError("elements live in different rings")
+        pairs = zip(self.residues, other.residues, self.spec.factors)
+        return RingElem(self.spec, tuple(op(a, b) % t for a, b, t in pairs))
 
     def __add__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        return RingElem(
-            self.spec,
-            tuple(
-                (a + b) % t
-                for a, b, t in zip(self.residues, other.residues, self.spec.factors)
-            ),
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        return RingElem(
-            self.spec,
-            tuple(
-                (a - b) % t
-                for a, b, t in zip(self.residues, other.residues, self.spec.factors)
-            ),
-        )
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "RingElem":
         return RingElem(
@@ -144,14 +134,7 @@ class RingElem:
         )
 
     def __mul__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        return RingElem(
-            self.spec,
-            tuple(
-                (a * b) % t
-                for a, b, t in zip(self.residues, other.residues, self.spec.factors)
-            ),
-        )
+        return self._combine(other, operator.mul)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.residues)

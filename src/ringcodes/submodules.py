@@ -11,41 +11,38 @@ solving all read off from them.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
-from .howell import HowellForm, howell_form, span_blocks
+from .howell import HowellForm, howell_rows, span_blocks
 from .rings import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     RingSpec,
     RingVec,
     from_components,
-    zero_vec,
 )
 
 
-def factor_matrix(spec: RingSpec, rows: Sequence[RingVec], f: int, n: int) -> np.ndarray:
-    """The factor-f residues of a list of vectors, as a len(rows) x n matrix."""
-    if not rows:
-        return np.zeros((0, n), dtype=np.int64)
-    return np.array([[c[f] for c in v.coords] for v in rows], dtype=np.int64)
+def factor_matrix(spec: RingSpec, rows: Sequence[RingVec], f: int, n: int) -> list[tuple[int, ...]]:
+    """The factor-f residues of a list of vectors of length n, one tuple per vector."""
+    return [v.component(f) for v in rows]
+
+
+def _transpose(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    return [[row[j] for row in rows] for j in range(ncols)]
 
 
 class Submodule:
     """A submodule of R^n held as one Howell form per ring factor."""
 
     def __init__(self, spec: RingSpec, n: int, forms: Sequence[HowellForm],
-                 generators: tuple[RingVec, ...] = ()):
+                 generators: Optional[tuple[RingVec, ...]] = None):
         self.spec = spec
         self.ambient_n = n
         self.forms = tuple(forms)
-        self.generators = generators
-        card = 1
-        for hf in self.forms:
-            card *= hf.span_cardinality()
-        self.cardinality = card
+        self.generators = self.canonical_generators() if generators is None else generators
+        self.cardinality = math.prod(hf.span_cardinality() for hf in self.forms)
 
     @classmethod
     def from_generators(
@@ -58,7 +55,7 @@ class Submodule:
             if len(g) != n:
                 raise ValueError("generator length does not match ambient space")
         forms = [
-            howell_form(factor_matrix(spec, gens, f, n), t)
+            howell_rows(factor_matrix(spec, gens, f, n), n, t)
             for f, t in enumerate(spec.factors)
         ]
         return cls(spec, n, forms, gens)
@@ -73,9 +70,9 @@ class Submodule:
         out = []
         k = self.spec.nfactors
         for f, hf in enumerate(self.forms):
-            for row in hf.matrix:
+            for row in hf.rows:
                 coords = tuple(
-                    tuple(int(row[i]) if g == f else 0 for g in range(k))
+                    tuple(row[i] if g == f else 0 for g in range(k))
                     for i in range(self.ambient_n)
                 )
                 out.append(RingVec(self.spec, coords))
@@ -89,13 +86,11 @@ class Submodule:
         dualizing each factor.
         """
         forms = []
-        for f, hf in enumerate(self.forms):
-            t = self.spec.factors[f]
-            dual_gens = howell_form(hf.matrix.T.copy(), t).kernel
-            forms.append(howell_form(dual_gens, t))
-        out = Submodule(self.spec, self.ambient_n, forms)
-        out.generators = out.canonical_generators()
-        return out
+        for hf in self.forms:
+            n, t = hf.ncols, hf.modulus
+            dual_gens = howell_rows(_transpose(hf.rows, n), len(hf.rows), t).kernel_rows
+            forms.append(howell_rows(dual_gens, n, t))
+        return Submodule(self.spec, self.ambient_n, forms)
 
     def enumerate(self, budget: int = DEFAULT_BUDGET) -> Iterator[RingVec]:
         """All elements exactly once: odometer over factors, last factor fastest."""
@@ -112,17 +107,11 @@ class Submodule:
         return (
             self.spec == other.spec
             and self.ambient_n == other.ambient_n
-            and all(
-                np.array_equal(a.matrix, b.matrix)
-                for a, b in zip(self.forms, other.forms)
-            )
+            and all(a.rows == b.rows for a, b in zip(self.forms, other.forms))
         )
 
     def __hash__(self):
-        return hash(
-            (self.spec, self.ambient_n,
-             tuple(tuple(map(int, hf.matrix.ravel())) for hf in self.forms))
-        )
+        return hash((self.spec, self.ambient_n, tuple(hf.rows for hf in self.forms)))
 
     def __repr__(self) -> str:
         return (
@@ -139,12 +128,9 @@ def syzygies(spec: RingSpec, rows: Sequence[RingVec]) -> Submodule:
     n = len(rows[0])
     forms = []
     for f, t in enumerate(spec.factors):
-        mat = factor_matrix(spec, rows, f, n)
-        kern = howell_form(mat, t).kernel
-        forms.append(howell_form(kern, t))
-    out = Submodule(spec, m, forms)
-    out.generators = out.canonical_generators()
-    return out
+        kern = howell_rows(factor_matrix(spec, rows, f, n), n, t).kernel_rows
+        forms.append(howell_rows(kern, m, t))
+    return Submodule(spec, m, forms)
 
 
 def solve_forms(spec: RingSpec, forms: Sequence[HowellForm], b: RingVec) -> Optional[RingVec]:
@@ -169,7 +155,7 @@ def transpose_forms(rows: Sequence[RingVec]) -> list[HowellForm]:
     """
     spec, n = rows[0].spec, len(rows[0])
     return [
-        howell_form(factor_matrix(spec, rows, f, n).T, t)
+        howell_rows(_transpose(factor_matrix(spec, rows, f, n), n), len(rows), t)
         for f, t in enumerate(spec.factors)
     ]
 

@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, JSON determinism, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +300,32 @@ def test_module_invocation_runs(files):
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_validate_and_to_code_leave_numpy_unloaded(tmp_path):
+    """Importing the package and the per-system paths never import numpy."""
+    path = tmp_path / "z6.pcs"
+    path.write_text(PCS_TEXT)
+    script = (
+        "import sys\n"
+        "import ringcodes as rc\n"
+        "from ringcodes import cli, formats\n"
+        f"assert cli.main(['validate', {str(path)!r}, '--json']) == 0\n"
+        f"pcs = formats.as_system(formats.parse_problem(open({str(path)!r}).read()))\n"
+        "pres = rc.pcs_to_code(pcs)\n"
+        "assert pres.cardinality == 216\n"
+        "assert rc.code_to_pcs(pres).s == 3\n"
+        "assert rc.kernel(pcs).cardinality and not rc.is_linear(pcs)\n"
+        "assert rc.fourier_coeff_pcs(pcs, pcs.h_rows[0]) is not None\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"

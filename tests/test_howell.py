@@ -250,3 +250,72 @@ def test_integer_reduction_matches_a_plain_int_reference(t):
         assert hf.contains(inside)
     with pytest.raises(ValueError):
         hf.reduce([0] * (n + 1))
+
+
+def matmul_mod(a, b, t):
+    """a @ b mod t for lists of integer rows, in Python integers."""
+    return [
+        [sum(x * y for x, y in zip(row, col)) % t for col in zip(*b)] for row in a
+    ]
+
+
+@pytest.mark.parametrize("t", [2147483629, 2**31, 2**31 - 2])
+def test_integer_forms_at_the_edge_of_the_range(t):
+    """Products of two residues near 2^31 exceed int64 sums; ints stay exact."""
+    rng = random.Random(t % 9973)
+    divisors = [d for d in (2, 4, 8, 3, 6, 7, 2**16, 2**30) if t % d == 0]
+    zero_divisor_pivots = 0
+    for _ in range(30):
+        m, n = rng.randint(1, 7), rng.randint(1, 12)
+        # multiples of divisors of t make zero-divisor pivots appear
+        rows = [
+            [rng.choice(divisors + [1]) * rng.randrange(t) % t for _ in range(n)]
+            for _ in range(m)
+        ]
+        hf = howell_form(rows, t)
+        assert hf.rows == howell_form(np.array(rows, dtype=np.int64), t).rows
+        assert all(type(a) is int for row in hf.rows + hf.kernel_rows for a in row)
+        zero_divisor_pivots += sum(p != 1 for p in hf.pivots)
+        for p in hf.pivots:
+            assert t % p == 0
+        if hf.rows:
+            assert matmul_mod(hf.transform_rows, rows, t) == [list(r) for r in hf.rows]
+        if hf.kernel_rows:
+            assert not any(map(any, matmul_mod(hf.kernel_rows, rows, t)))
+        kernel_form = howell_form(np.array(hf.kernel_rows, dtype=np.int64).reshape(-1, m), t)
+        assert hf.span_cardinality() * kernel_form.span_cardinality() == t**m
+        # a shuffled generating set with redundant combinations spans the same
+        rows2 = [list(r) for r in rows]
+        rng.shuffle(rows2)
+        for _ in range(rng.randint(1, 3)):
+            cs = [rng.randrange(t) for _ in rows2]
+            rows2.insert(
+                rng.randrange(len(rows2) + 1),
+                [sum(c * r[i] for c, r in zip(cs, rows2)) % t for i in range(n)],
+            )
+        hf2 = howell_form(rows2, t)
+        assert hf2.rows == hf.rows and hf2.pivot_cols == hf.pivot_cols
+    if t != 2147483629:  # a prime modulus has no zero divisors
+        assert zero_divisor_pivots > 0
+
+
+def test_divide_leaves_one_remainder_per_coset():
+    rng = random.Random(4242)
+    for t in [4, 6, 8, 12, 2147483629, 2**31 - 2]:
+        for _ in range(15):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[rng.randrange(t) for _ in range(n)] for _ in range(m)]
+            hf = howell_form(rows, t)
+            v = [rng.randrange(t) for _ in range(n)]
+            coeffs, rest = hf.divide(v)
+            assert all(type(a) is int for a in coeffs + rest)
+            assert combine(coeffs, hf.rows, t, n) == tuple(
+                (a - b) % t for a, b in zip(v, rest)
+            )
+            for p, c in zip(hf.pivots, hf.pivot_cols):
+                assert 0 <= rest[c] < p
+            # every member of the coset v + span leaves the same remainder
+            shift = combine([rng.randrange(t) for _ in rows], rows, t, n)
+            assert hf.divide([a + b for a, b in zip(v, shift)])[1] == rest
+            w = [rng.randrange(t) for _ in range(n)]
+            assert (hf.divide(w)[1] == rest) == hf.contains([a - b for a, b in zip(v, w)])

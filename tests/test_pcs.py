@@ -204,6 +204,44 @@ def test_presentation_rejects_clashing_cosets():
         CodePresentation(kernel, (rv(Z6, (1, 0)), rv(Z6, (1, 3))))
 
 
+def first_clashing_pair(kernel, reps):
+    """The pairwise reference: the first (a, b), a < b, with reps in one coset."""
+    for a in range(len(reps)):
+        for b in range(a + 1, len(reps)):
+            if kernel.contains(vec_sub(reps[a], reps[b])):
+                return a + 1, b + 1
+    return None
+
+
+@pytest.mark.parametrize("ring", ["Z4", "Z6", "Z3xZ4", "Z2147483629"])
+def test_presentation_names_the_first_clashing_pair(ring):
+    spec = parse_ring(ring)
+    rng = random.Random(len(ring) * 7919)
+    clashes = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        gens = [random_vec(rng, spec, n) for _ in range(rng.randint(0, 2))]
+        D = Submodule.from_generators(spec, n, gens)
+        reps = [random_vec(rng, spec, n) for _ in range(rng.randint(1, 6))]
+        # plant duplicates: a representative moved by a random element of D
+        for _ in range(rng.randint(0, 2)):
+            moved = rng.choice(reps)
+            for g in gens:
+                moved = vec_add(moved, scale(spec.elem([rng.randrange(t) for t in spec.factors]), g))
+            reps.insert(rng.randrange(len(reps) + 1), moved)
+        expected = first_clashing_pair(D, reps)
+        if expected is None:
+            assert CodePresentation(D, tuple(reps)).s == len(reps)
+            continue
+        clashes += 1
+        with pytest.raises(ValueError) as info:
+            CodePresentation(D, tuple(reps))
+        assert str(info.value) == (
+            f"representatives {expected[0]} and {expected[1]} present the same coset"
+        )
+    assert clashes > 10
+
+
 def test_round_trips_random():
     rng = random.Random(777001)
     for _ in range(40):
