@@ -51,7 +51,7 @@ from .pcs import (
     kernel,
     pcs_to_code,
 )
-from .rings import BudgetExceeded, RingVec, dot, vec_add, vec_sub
+from .rings import DEFAULT_BUDGET, BudgetExceeded, RingVec, dot, vec_add, vec_sub
 
 
 def _elem_json(e):
@@ -273,6 +273,13 @@ def _fourier_entry(pcs, x) -> dict:
     }
 
 
+def _check_counts_output(pcs, points: int) -> None:
+    """The dense "counts" lists of `points` coefficients hold points * L ints."""
+    needed = points * pcs.spec.char_order
+    if needed > DEFAULT_BUDGET:
+        raise BudgetExceeded(needed, DEFAULT_BUDGET, "counts output")
+
+
 def _fourier_human(entry) -> str:
     sx = entry["s_x"]
     tail = f"  S_x={sx}" if sx is not None else "  (outside the row span)"
@@ -283,11 +290,10 @@ def _fourier_human(entry) -> str:
 def cmd_fourier(args) -> int:
     pcs = as_system(_load(args))
     if args.all:
-        xs = list(pcs.row_module.enumerate())
         if args.oracle:
             code = oracle_code_from_pcs(pcs)
             entries = []
-            for x in xs:
+            for x in pcs.row_module.enumerate():
                 v = oracle_fourier(code, x)
                 entries.append({"x": _vec_json(x),
                                 "re": _round12(v.real), "im": _round12(v.imag)})
@@ -295,7 +301,8 @@ def cmd_fourier(args) -> int:
                   "\n".join(f"x={e['x']}  value={e['re']}+{e['im']}i" for e in entries),
                   {"values": entries})
             return 0
-        entries = [_fourier_entry(pcs, x) for x in xs]
+        _check_counts_output(pcs, pcs.row_module.cardinality)
+        entries = [_fourier_entry(pcs, x) for x in pcs.row_module.enumerate()]
         _emit(args, "\n".join(_fourier_human(e) for e in entries),
               {"values": entries})
         return 0
@@ -309,6 +316,7 @@ def cmd_fourier(args) -> int:
         entry = {"x": _vec_json(x), "re": _round12(v.real), "im": _round12(v.imag)}
         _emit(args, f"x={entry['x']}  value={entry['re']}+{entry['im']}i", entry)
         return 0
+    _check_counts_output(pcs, 1)
     entry = _fourier_entry(pcs, x)
     _emit(args, _fourier_human(entry), entry)
     return 0

@@ -4,8 +4,11 @@ R = Z_t1 x ... x Z_tk has the generating character sending y to
 zeta_L ^ (sum_j y_j L/t_j) with L = lcm(t_j): every other character is a
 twist chi_x(y) = eps(x y) of it.  Fourier coefficients of a code indicator
 are integer combinations of L-th roots of unity, so they are carried
-around as exponent multisets (one integer count per root) and only turned
-into floating-point complex numbers at the very end.
+around as sparse exponent sums (one (exponent, count) term per root that
+occurs, at most s of them for a coefficient) and only turned into
+floating-point complex numbers at the very end.  A coefficient therefore
+costs O(s) memory at any L; the dense list of all L counts is only ever a
+view computed on demand.
 
 Two independent routes compute the same coefficient: a sum over the coset
 representatives of the code, and a sum over one syndrome row combination
@@ -16,8 +19,10 @@ plain equality.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain, repeat
+from operator import eq, index, mul
 from typing import Callable, Optional
 
 from .pcs import CodePresentation, ParityCheckSystem
@@ -38,32 +43,114 @@ def _root(k: int, order: int) -> complex:
     return cmath.exp(2j * cmath.pi * k / order)
 
 
-@dataclass(frozen=True)
+class _Counts(Sequence):
+    """The dense counts of an ExponentSum, read off its terms on demand.
+
+    len() is the root order L and item k is the coefficient of zeta_L^k.
+    Indexing, iteration and comparison allocate nothing of length L.
+    """
+
+    __slots__ = ("_order", "_terms")
+
+    def __init__(self, order: int, terms: tuple[tuple[int, int], ...]):
+        self._order = order
+        self._terms = terms
+
+    def __len__(self) -> int:
+        return self._order
+
+    def __getitem__(self, k: int) -> int:
+        k = range(self._order)[index(k)]
+        return next((c for j, c in self._terms if j == k), 0)
+
+    def __iter__(self) -> Iterator[int]:
+        parts, prev = [], 0
+        for k, c in self._terms:
+            parts += (repeat(0, k - prev), (c,))
+            prev = k + 1
+        parts.append(repeat(0, self._order - prev))
+        return chain.from_iterable(parts)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Counts):
+            return (self._order, self._terms) == (other._order, other._terms)
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+@dataclass(frozen=True, init=False)
 class ExponentSum:
     """An integer combination of the L-th roots of unity.
 
-    counts[k] is the coefficient of zeta_L^k.  Addition, negation, scaling
-    and multiplication (cyclic convolution) are exact; evaluate() is the
-    only lossy step.  Note distinct count vectors can evaluate to the same
-    complex number, so exact equality is finer than numeric equality.
+    terms holds the pairs (k, c) with c != 0, sorted by k, of the sum
+    sum_k c * zeta_L^k; it is empty for zero.  Memory grows with the number
+    of terms, never with L.  ExponentSum(L, counts) takes the L counts
+    densely; the counts property gives them back as a read-only view.
+    Addition, negation, scaling and multiplication (cyclic convolution) are
+    exact; evaluate() is the only lossy step.  Note distinct term tuples can
+    evaluate to the same complex number, so exact equality is finer than
+    numeric equality.
     """
 
     order: int
-    counts: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if len(self.counts) != self.order:
+    def __init__(self, order: int, counts: Sequence[int]):
+        if len(counts) != order:
             raise ValueError("need exactly one count per root")
+        self.__dict__.update(order=order, terms=tuple((k, c) for k, c in enumerate(counts) if c))
+
+    @classmethod
+    def _of(cls, order: int, terms: tuple[tuple[int, int], ...]) -> "ExponentSum":
+        es = object.__new__(cls)
+        fields = es.__dict__  # frozen: fill the fields without __setattr__
+        fields["order"] = order
+        fields["terms"] = terms
+        return es
+
+    @classmethod
+    def _collect(cls, order: int, pairs: Iterable[tuple[int, int]]) -> "ExponentSum":
+        """The sum of c * zeta^k over pairs (k, c) with 0 <= k < order."""
+        terms = []
+        for k, c in sorted(pairs):
+            if terms and terms[-1][0] == k:
+                c += terms.pop()[1]
+            if c:
+                terms.append((k, c))
+        return cls._of(order, tuple(terms))
+
+    @classmethod
+    def _runs(cls, order: int, exponents: list[int], count: int) -> "ExponentSum":
+        """count * sum_j zeta^(exponents[j]), exponents in [0, order).
+
+        The coefficient routes' hot path: sorting plain ints (in place) and
+        merging runs of equal exponents takes about half the time of
+        _collect's sort of (exponent, count) pairs.
+        """
+        exponents.sort()
+        terms, prev, run = [], None, 0
+        for k in exponents:
+            if k != prev:
+                if run:
+                    terms.append((prev, count * run))
+                prev, run = k, 0
+            run += 1
+        if run:
+            terms.append((prev, count * run))
+        return cls._of(order, tuple(terms))
+
+    @property
+    def counts(self) -> _Counts:
+        return _Counts(self.order, self.terms)
 
     @classmethod
     def zero(cls, order: int) -> "ExponentSum":
-        return cls(order, (0,) * order)
+        return cls._of(order, ())
 
     @classmethod
     def root(cls, order: int, exponent: int, count: int = 1) -> "ExponentSum":
-        counts = [0] * order
-        counts[exponent % order] = count
-        return cls(order, tuple(counts))
+        return cls._of(order, ((exponent % order, count),) if count else ())
 
     def _check(self, other: "ExponentSum") -> None:
         if self.order != other.order:
@@ -71,47 +158,36 @@ class ExponentSum:
 
     def __add__(self, other: "ExponentSum") -> "ExponentSum":
         self._check(other)
-        return ExponentSum(
-            self.order, tuple(a + b for a, b in zip(self.counts, other.counts))
-        )
+        return ExponentSum._collect(self.order, self.terms + other.terms)
 
     def __sub__(self, other: "ExponentSum") -> "ExponentSum":
-        self._check(other)
-        return ExponentSum(
-            self.order, tuple(a - b for a, b in zip(self.counts, other.counts))
-        )
+        return self + -other
 
     def __neg__(self) -> "ExponentSum":
-        return ExponentSum(self.order, tuple(-a for a in self.counts))
+        return self.scaled(-1)
 
     def scaled(self, c: int) -> "ExponentSum":
-        return ExponentSum(self.order, tuple(c * a for a in self.counts))
+        return ExponentSum._of(self.order, tuple((k, c * a) for k, a in self.terms) if c else ())
 
     def __mul__(self, other: "ExponentSum") -> "ExponentSum":
         self._check(other)
         L = self.order
-        out = [0] * L
-        for i, a in enumerate(self.counts):
-            if a:
-                for j, b in enumerate(other.counts):
-                    if b:
-                        out[(i + j) % L] += a * b
-        return ExponentSum(L, tuple(out))
+        return ExponentSum._collect(
+            L, [((i + j) % L, a * b) for i, a in self.terms for j, b in other.terms]
+        )
 
     def conjugate(self) -> "ExponentSum":
         L = self.order
-        out = [0] * L
-        for k, a in enumerate(self.counts):
-            out[(-k) % L] += a
-        return ExponentSum(L, tuple(out))
+        return ExponentSum._of(L, tuple(sorted(((-k) % L, a) for k, a in self.terms)))
 
     def evaluate(self) -> complex:
+        # ascending k, as a sum over the dense counts would go: same floats
         L = self.order
-        return sum((a * _root(k, L) for k, a in enumerate(self.counts) if a), 0j)
+        return sum((a * _root(k, L) for k, a in self.terms), 0j)
 
     def is_zero(self, tol: float = 1e-9) -> bool:
-        """Numeric zero test; distinct exponent multisets may cancel exactly."""
-        if not any(self.counts):
+        """Numeric zero test; distinct term tuples may cancel exactly."""
+        if not self.terms:
             return True
         return abs(self.evaluate()) <= tol
 
@@ -154,12 +230,13 @@ def fourier_coeff_coset(pres: CodePresentation, x: RingVec) -> ExponentSum:
     L = pres.spec.char_order
     if not pres.dual_module().contains(x):
         return ExponentSum.zero(L)
-    flat = [a for coord in x.coords for a in coord]
-    scale_factor = pres.kernel.cardinality
-    counts = [0] * L
+    flat = [*chain.from_iterable(x.coords)]
+    # a loop, not a comprehension: on Python 3.11 the comprehension's own
+    # frame costs more than the few appends
+    exps = []
     for row in pres.character_rows:
-        counts[-sum(map(mul, flat, row)) % L] += scale_factor
-    return ExponentSum(L, tuple(counts))
+        exps.append(-sum(map(mul, flat, row)) % L)
+    return ExponentSum._runs(L, exps, pres.kernel.cardinality)
 
 
 def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
@@ -172,12 +249,11 @@ def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
     s_x = pcs.s_row(x)
     if s_x is None:
         return ExponentSum.zero(L)
-    weights = [L // t for t in pcs.spec.factors]
-    scale_factor = pcs.kernel_cardinality
-    counts = [0] * L
+    weights = pcs.character_weights
+    exps = []
     for residues in s_x.coords:
-        counts[-sum(map(mul, residues, weights)) % L] += scale_factor
-    return ExponentSum(L, tuple(counts))
+        exps.append(-sum(map(mul, residues, weights)) % L)
+    return ExponentSum._runs(L, exps, pcs.kernel_cardinality)
 
 
 def poisson_sum(

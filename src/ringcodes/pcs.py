@@ -159,6 +159,12 @@ class ParityCheckSystem:
         return self.spec.cardinality**self.n // self.row_module.cardinality
 
     @cached_property
+    def character_weights(self) -> tuple[int, ...]:
+        """L / t_f per factor, the weights of the generating character."""
+        L = self.spec.char_order
+        return tuple(L // t for t in self.spec.factors)
+
+    @cached_property
     def hs_forms(self) -> tuple[HowellForm, ...]:
         """One Howell form of [H | S] per ring factor.
 

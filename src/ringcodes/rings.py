@@ -12,6 +12,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -56,7 +57,7 @@ class RingSpec:
     def cardinality(self) -> int:
         return math.prod(self.factors)
 
-    @property
+    @cached_property
     def char_order(self) -> int:
         """Least common multiple of the factor moduli (the additive exponent)."""
         return math.lcm(*self.factors)

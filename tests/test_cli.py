@@ -18,6 +18,7 @@ SINGLETON_TEXT = "Z4\npcs\n1 0 | 0\n0 1 | 0\n"
 LINEAR_TEXT = "Z4\ncode\n2 0\n0 2\n\n0 0\n1 1\n"
 HUGE_TEXT = "Z50\npcs\n1 1 1 1 1 | 0\n"
 BAD_COND1_TEXT = "Z6\npcs\n1 1 3 5 | 0 1 5 1\n0 4 2 2 | 0 2 4 1\n"
+BIG_L_TEXT = "Z65521xZ65519\npcs\n(1,2) (2,0) (3,5) | (0,0) (5,1) (7,3) (9,2)\n"
 
 
 @pytest.fixture
@@ -31,6 +32,7 @@ def files(tmp_path):
         ("linear", LINEAR_TEXT),
         ("huge", HUGE_TEXT),
         ("bad1", BAD_COND1_TEXT),
+        ("big_l", BIG_L_TEXT),
     ]:
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
@@ -215,6 +217,27 @@ def test_fourier_single_point(files, capsys):
         capsys, "fourier", files["pcs"], "1,3,1,3", "--json", "--oracle"
     )
     assert payload["re"] == 144.0
+
+
+def test_fourier_readme_example_byte_for_byte(files, capsys):
+    code, out, _ = run(capsys, "fourier", files["pcs"], "3,3,3,3", "--json")
+    assert code == 0
+    assert out == (
+        '{"counts":[72,0,0,144,0,0],"im":0.0,"order":6,"re":-72.0,'
+        '"s_x":[0,3,3],"x":[3,3,3,3]}\n'
+    )
+
+
+def test_fourier_counts_output_over_budget_exits_4(files, capsys):
+    # L = 65521 * 65519 = 4292870399 dense counts per point
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "fourier", files["big_l"], "(0,0),(0,0),(0,0)", *extra)
+        assert code == 4
+        assert out == ""
+        assert "counts output" in err
+        assert "4292870399" in err and str(10**7) in err
+    code, out, err = run(capsys, "fourier", files["big_l"], "--all", "--json")
+    assert code == 4 and out == "" and "counts output" in err
 
 
 def test_fourier_off_support(files, capsys):

@@ -24,6 +24,7 @@ from ringcodes import (
     pcs_to_code,
     poisson_sum,
     scale,
+    validate_pcs,
     vec_add,
     weight,
     zero_vec,
@@ -103,6 +104,78 @@ def test_exponent_sum_guards():
         ExponentSum(4, (1, 0, 0))
     with pytest.raises(ValueError):
         ExponentSum.root(4, 1) + ExponentSum.root(6, 1)
+
+
+def _dense_terms(counts) -> tuple:
+    return tuple((k, c) for k, c in enumerate(counts) if c)
+
+
+def _dense_value(counts, L) -> complex:
+    # the dense ascending-order sum that evaluate() must reproduce exactly
+    return sum((a * cmath.exp(2j * cmath.pi * k / L) for k, a in enumerate(counts) if a), 0j)
+
+
+def test_sparse_arithmetic_matches_dense_reference():
+    rng = random.Random(77)
+    for _ in range(300):
+        L = rng.choice([1, 2, 3, 4, 6, 12, 30])
+        a, b = ([rng.choice([0, 0, 0, -2, -1, 1, 3]) for _ in range(L)] for _ in range(2))
+        ea, eb = ExponentSum(L, tuple(a)), ExponentSum(L, tuple(b))
+        assert ea.terms == _dense_terms(a)
+        assert list(ea.counts) == a and ea.counts == tuple(a)
+        assert [ea.counts[k] for k in range(-L, L)] == a + a
+        with pytest.raises(IndexError):
+            ea.counts[L]
+        product = [0] * L
+        for i in range(L):
+            for j in range(L):
+                product[(i + j) % L] += a[i] * b[j]
+        c = rng.randint(-3, 3)
+        for got, want in [
+            (ea + eb, [x + y for x, y in zip(a, b)]),
+            (ea - eb, [x - y for x, y in zip(a, b)]),
+            (-ea, [-x for x in a]),
+            (ea * eb, product),
+            (ea.conjugate(), [a[-k % L] for k in range(L)]),
+            (ea.scaled(c), [c * x for x in a]),
+            (ea.scaled(0), [0] * L),
+        ]:
+            assert got.terms == _dense_terms(want)
+            assert got == ExponentSum(L, tuple(want))
+            assert hash(got) == hash(ExponentSum(L, tuple(want)))
+            assert got.evaluate() == _dense_value(want, L)
+            assert got.is_zero() == (not any(want) or abs(_dense_value(want, L)) <= 1e-9)
+
+
+def test_coefficients_cost_memory_in_terms_not_in_L():
+    # over Z65521xZ65519, L = 4292870399: a dense list of counts cannot be built
+    spec = parse_ring("Z65521xZ65519")
+    L = spec.char_order
+    h = rv(spec, [(1, 2), (2, 0), (3, 5)])
+    s_cols = [(0, 0), (5, 1), (7, 3), (9, 2)]
+    pcs = validate_pcs([h], [rv(spec, s_cols)])
+    pres = pcs_to_code(pcs)
+    a = (3, 4)
+    points = [(zero_vec(spec, 3), (0, 0)), (scale(spec.elem(list(a)), h), a)]
+    tracemalloc.start()
+    try:
+        got = [(fourier_coeff_pcs(pcs, x), fourier_coeff_coset(pres, x)) for x, _ in points]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    kcard = spec.cardinality ** 2  # h holds a unit, so the row span is all of R h
+    for (x, a), (by_pcs, by_coset) in zip(points, got):
+        assert by_pcs == by_coset
+        exps = sorted(
+            -sum(ai * ri * (L // t) for ai, ri, t in zip(a, r, spec.factors)) % L
+            for r in s_cols
+        )
+        want = {}
+        for k in exps:
+            want[k] = want.get(k, 0) + kcard
+        assert by_pcs.terms == tuple(sorted(want.items()))
+        assert len(by_pcs.counts) == L
 
 
 def test_generating_character_single_factor():
