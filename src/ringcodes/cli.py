@@ -1,9 +1,10 @@
 """Command-line front end over problem files.
 
-Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 budget
-exceeded.  --json switches every command to deterministic single-line JSON
-on stdout; --oracle reroutes the computation through the brute-force
-reference implementations (or cross-checks conversions against them).
+COMMANDS has one row per subcommand: help text, file mode, a fast route and
+an --oracle route that recomputes by brute force or cross-checks the fast one.
+A route maps the validated system and the arguments to a human and a JSON
+answer (--json prints the latter on one line); _run does the shared steps.
+Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from .distance import (
     BeyondRadius,
+    DecodeResult,
     DegenerateCode,
     decode,
     min_distance_witness,
@@ -22,7 +26,6 @@ from .distance import (
 from .enumerator import distance_distribution, pcs_enumerator_poly
 from .formats import (
     ParseError,
-    as_presentation,
     as_system,
     parse_problem,
     parse_vector_literal,
@@ -31,6 +34,7 @@ from .formats import (
 )
 from .fourier import fourier_coeff_pcs
 from .oracle import (
+    ExplicitCode,
     oracle_code_from_pcs,
     oracle_distance_distribution,
     oracle_fourier,
@@ -45,301 +49,257 @@ from .pcs import (
     ConditionIIViolation,
     ConditionIViolation,
     InternalInconsistency,
+    ParityCheckSystem,
     PCSValidationError,
-    code_to_pcs,
     is_linear,
     kernel,
     pcs_to_code,
 )
 from .rings import DEFAULT_BUDGET, BudgetExceeded, RingVec, dot, vec_add, vec_sub
 
-
-def _elem_json(e):
-    return e.residues[0] if len(e.residues) == 1 else list(e.residues)
+Route = Callable[[ParityCheckSystem, argparse.Namespace], tuple[str, dict]]
 
 
 def _vec_json(v: RingVec):
-    return [_elem_json(e) for e in v]
+    return [e.residues[0] if len(e.residues) == 1 else list(e.residues) for e in v]
 
 
 def _vec_human(v: RingVec) -> str:
     return "[" + " ".join(str(e) for e in v) + "]"
 
 
-def _emit(args, human: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(human)
-
-
-def _round12(v: float) -> float:
-    return round(v, 12) + 0.0
-
-
-def _load(args):
-    return parse_problem(Path(args.file).read_text())
-
-
-def cmd_validate(args) -> int:
-    pf = _load(args)
-    try:
-        pcs = as_system(pf)
-    except ConditionIViolation as exc:
-        _emit(args, f"violation of condition (i): {exc}",
-              {"status": "violation", "condition": 1, "row": exc.row, "col": exc.col})
-        return 2
-    except ConditionIIViolation as exc:
-        _emit(args, f"violation of condition (ii): {exc}",
-              {"status": "violation", "condition": 2,
-               "col_a": exc.col_a, "col_b": exc.col_b})
-        return 2
-    except ConditionIIIViolation as exc:
-        _emit(args, f"violation of condition (iii): {exc}",
-              {"status": "violation", "condition": 3,
-               "witness": _vec_json(exc.witness)})
-        return 2
-    if args.oracle:
-        verdict = oracle_validate(pcs.h_rows, pcs.s_rows)
-        if verdict is not None:  # pragma: no cover - main path validated already
-            cond, witness = verdict
-            _emit(args, f"oracle found a violation of condition ({cond}): {witness}",
-                  {"status": "violation", "condition": cond})
-            return 2
-    _emit(
-        args,
-        f"ok: valid system over {pcs.spec} (m={pcs.m}, n={pcs.n}, s={pcs.s})",
-        {"status": "ok", "ring": str(pcs.spec), "m": pcs.m, "n": pcs.n, "s": pcs.s},
-    )
-    return 0
-
-
-def _oracle_crosscheck_words(pcs) -> None:
-    """Compare the system's code with the brute-force scan, word for word."""
-    pres = pcs_to_code(pcs)
-    words = set()
-    for d in pres.representatives:
-        for v in pres.kernel.enumerate():
-            words.add(vec_add(d, v))
-    scanned = oracle_code_from_pcs(pcs).words
-    if words != scanned:
-        raise InternalInconsistency("conversion disagrees with the brute-force scan")
-
-
-def cmd_to_code(args) -> int:
-    pf = _load(args)
-    if pf.mode != "pcs":
-        raise ParseError("to-code expects a pcs-mode file")
-    pcs = as_system(pf)
-    pres = pcs_to_code(pcs)
-    if args.oracle:
-        _oracle_crosscheck_words(pcs)
-    text = serialize_code(pres)
-    if args.json:
-        gens = pres.kernel.canonical_generators()
-        print(json.dumps({
-            "ring": str(pres.spec),
-            "generators": [_vec_json(g) for g in gens],
-            "representatives": [_vec_json(d) for d in pres.representatives],
-            "kernel_cardinality": pres.kernel.cardinality,
-            "code_cardinality": pres.cardinality,
-        }, sort_keys=True, separators=(",", ":")))
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def cmd_to_pcs(args) -> int:
-    pf = _load(args)
-    if pf.mode != "code":
-        raise ParseError("to-pcs expects a code-mode file")
-    pres = as_presentation(pf)
-    pcs = code_to_pcs(pres)
-    if args.oracle:
-        _oracle_crosscheck_words(pcs)
-    if args.json:
-        print(json.dumps({
-            "ring": str(pcs.spec),
-            "h": [_vec_json(h) for h in pcs.h_rows],
-            "s": [_vec_json(r) for r in pcs.s_rows],
-            "m": pcs.m, "n": pcs.n, "s_columns": pcs.s,
-        }, sort_keys=True, separators=(",", ":")))
-    else:
-        sys.stdout.write(serialize_pcs(pcs))
-    return 0
-
-
-def cmd_mindist(args) -> int:
-    pcs = as_system(_load(args))
-    if args.oracle:
-        d = oracle_min_distance(oracle_code_from_pcs(pcs))
-        _emit(args, f"minimum distance: {d}", {"min_distance": d})
-        return 0
-    d, witness = min_distance_witness(pcs)
-    syn = pcs.syndrome(witness)
-    _emit(
-        args,
-        f"minimum distance: {d}  witness {_vec_human(witness)} with syndrome {_vec_human(syn)}",
-        {"min_distance": d, "witness": _vec_json(witness),
-         "witness_syndrome": _vec_json(syn)},
-    )
-    return 0
-
-
-def cmd_decode(args) -> int:
-    pcs = as_system(_load(args))
-    x = parse_vector_literal(pcs.spec, args.word)
+def _point(pcs: ParityCheckSystem, text: str, what: str) -> RingVec:
+    x = parse_vector_literal(pcs.spec, text)
     if len(x) != pcs.n:
-        raise ParseError(f"word has {len(x)} coordinates, system has n={pcs.n}")
-    if args.oracle:
-        code = oracle_code_from_pcs(pcs)
-        d = oracle_min_distance(code)
-        radius = (d - 1) // 2
-        best, hits = oracle_nearest(code, x)
-        if best > radius:
-            _emit(args, f"beyond radius {radius}",
-                  {"status": "beyond_radius", "radius": radius})
-            return 0
-        c = hits[0]
-        err = vec_sub(x, c)
-        syn = RingVec.of(pcs.spec, [dot(h, c) for h in pcs.h_rows])
-        j = next(i + 1 for i, col in enumerate(pcs.s_cols) if col == syn)
-        _emit(args,
-              f"codeword {_vec_human(c)} (coset {j}), error {_vec_human(err)} of weight {best}",
-              {"status": "ok", "codeword": _vec_json(c), "coset_index": j,
-               "error_vector": _vec_json(err), "error_weight": best})
-        return 0
-    try:
-        res = decode(pcs, x)
-    except BeyondRadius as exc:
-        _emit(args, f"beyond radius {exc.radius}",
-              {"status": "beyond_radius", "radius": exc.radius})
-        return 0
-    _emit(
-        args,
-        f"codeword {_vec_human(res.codeword)} (coset {res.coset_index}), "
-        f"error {_vec_human(res.error_vector)} of weight {res.error_weight}",
-        {"status": "ok", "codeword": _vec_json(res.codeword),
-         "coset_index": res.coset_index,
-         "error_vector": _vec_json(res.error_vector),
-         "error_weight": res.error_weight},
-    )
-    return 0
+        raise ParseError(f"{what} has {len(x)} coordinates, system has n={pcs.n}")
+    return x
 
 
-def cmd_kernel(args) -> int:
-    pcs = as_system(_load(args))
-    if args.oracle:
-        elems = oracle_kernel(oracle_code_from_pcs(pcs))
-        ordered = sorted(elems, key=lambda v: v.coords)
-        _emit(args,
-              f"kernel cardinality {len(elems)}:\n" +
-              "\n".join(_vec_human(v) for v in ordered),
-              {"cardinality": len(elems),
-               "elements": [_vec_json(v) for v in ordered]})
-        return 0
-    ker = kernel(pcs)
-    gens = ker.canonical_generators()
-    _emit(
-        args,
-        f"kernel cardinality {ker.cardinality}, generators:\n"
-        + "\n".join(_vec_human(g) for g in gens),
-        {"cardinality": ker.cardinality, "generators": [_vec_json(g) for g in gens]},
-    )
-    return 0
+def _crosschecked(pcs, args, route: Route, agrees: Callable[[ParityCheckSystem], bool]):
+    """route, after the brute-force check agrees(pcs) has passed."""
+    if not agrees(pcs):
+        raise InternalInconsistency(f"{args.command} disagrees with the brute-force scan")
+    return route(pcs, args)
 
 
-def cmd_islinear(args) -> int:
-    pcs = as_system(_load(args))
-    if args.oracle:
-        verdict = oracle_is_linear(oracle_code_from_pcs(pcs))
-    else:
-        verdict = is_linear(pcs)
-    _emit(args, "linear" if verdict else "not linear", {"linear": verdict})
-    return 0
-
-
-def _fourier_entry(pcs, x) -> dict:
-    es = fourier_coeff_pcs(pcs, x)
-    v = es.evaluate()
-    s_x = pcs.s_row(x)
-    return {
-        "x": _vec_json(x),
-        "counts": list(es.counts),
-        "order": es.order,
-        "re": _round12(v.real),
-        "im": _round12(v.imag),
-        "s_x": _vec_json(s_x) if s_x is not None else None,
+def _same_words(pcs: ParityCheckSystem) -> bool:
+    """The presentation's words are the scan's; the budget-gated scan bounds |C| first."""
+    scanned = oracle_code_from_pcs(pcs).words
+    pres = pcs_to_code(pcs)
+    return scanned == {
+        vec_add(d, v) for d in pres.representatives for v in pres.kernel.enumerate()
     }
 
 
-def _check_counts_output(pcs, points: int) -> None:
-    """The dense "counts" lists of `points` coefficients hold points * L ints."""
-    needed = points * pcs.spec.char_order
-    if needed > DEFAULT_BUDGET:
-        raise BudgetExceeded(needed, DEFAULT_BUDGET, "counts output")
+def _oracle_distance(code: ExplicitCode) -> int:
+    if code.cardinality < 2:
+        raise DegenerateCode("the code has exactly one word")
+    return oracle_min_distance(code)
+
+
+# condition -> its number and its fields in the validate report
+_VIOLATIONS = {
+    ConditionIViolation: (1, lambda exc: {"row": exc.row, "col": exc.col}),
+    ConditionIIViolation: (2, lambda exc: {"col_a": exc.col_a, "col_b": exc.col_b}),
+    ConditionIIIViolation: (3, lambda exc: {"witness": _vec_json(exc.witness)}),
+}
+
+
+def _validate(pcs, args):
+    return (f"ok: valid system over {pcs.spec} (m={pcs.m}, n={pcs.n}, s={pcs.s})",
+            {"status": "ok", "ring": str(pcs.spec), "m": pcs.m, "n": pcs.n, "s": pcs.s})
+
+
+def _to_code(pcs, args):
+    pres = pcs_to_code(pcs)
+    return serialize_code(pres).removesuffix("\n"), {
+        "ring": str(pres.spec),
+        "generators": [_vec_json(g) for g in pres.kernel.canonical_generators()],
+        "representatives": [_vec_json(d) for d in pres.representatives],
+        "kernel_cardinality": pres.kernel.cardinality,
+        "code_cardinality": pres.cardinality,
+    }
+
+
+def _to_pcs(pcs, args):
+    return serialize_pcs(pcs).removesuffix("\n"), {
+        "ring": str(pcs.spec),
+        "h": [_vec_json(h) for h in pcs.h_rows],
+        "s": [_vec_json(r) for r in pcs.s_rows],
+        "m": pcs.m, "n": pcs.n, "s_columns": pcs.s,
+    }
+
+
+def _mindist(pcs, args):
+    d, witness = min_distance_witness(pcs)
+    syn = pcs.syndrome(witness)
+    return (f"minimum distance: {d}  witness {_vec_human(witness)} "
+            f"with syndrome {_vec_human(syn)}",
+            {"min_distance": d, "witness": _vec_json(witness),
+             "witness_syndrome": _vec_json(syn)})
+
+
+def _mindist_oracle(pcs, args):
+    d = _oracle_distance(oracle_code_from_pcs(pcs))
+    return f"minimum distance: {d}", {"min_distance": d}
+
+
+def _oracle_decode(pcs: ParityCheckSystem, x: RingVec) -> DecodeResult:
+    """decode by scanning the code: the nearest word within the radius."""
+    code = oracle_code_from_pcs(pcs)
+    radius = (_oracle_distance(code) - 1) // 2
+    best, hits = oracle_nearest(code, x)
+    if best > radius:
+        raise BeyondRadius(x, radius)
+    c = hits[0]
+    syn = RingVec.of(pcs.spec, [dot(h, c) for h in pcs.h_rows])
+    return DecodeResult(codeword=c, coset_index=pcs.s_cols.index(syn) + 1,
+                        error_vector=vec_sub(x, c), error_weight=best)
+
+
+def _decode(pcs, args, decoder):
+    try:
+        res = decoder(pcs, _point(pcs, args.word, "word"))
+    except BeyondRadius as exc:
+        return f"beyond radius {exc.radius}", {"status": "beyond_radius", "radius": exc.radius}
+    return (f"codeword {_vec_human(res.codeword)} (coset {res.coset_index}), "
+            f"error {_vec_human(res.error_vector)} of weight {res.error_weight}",
+            {"status": "ok", "codeword": _vec_json(res.codeword),
+             "coset_index": res.coset_index,
+             "error_vector": _vec_json(res.error_vector),
+             "error_weight": res.error_weight})
+
+
+def _kernel(pcs, args):
+    ker = kernel(pcs)
+    gens = ker.canonical_generators()
+    return (f"kernel cardinality {ker.cardinality}, generators:\n"
+            + "\n".join(_vec_human(g) for g in gens),
+            {"cardinality": ker.cardinality, "generators": [_vec_json(g) for g in gens]})
+
+
+def _kernel_oracle(pcs, args):
+    elems = sorted(oracle_kernel(oracle_code_from_pcs(pcs)), key=lambda v: v.coords)
+    return (f"kernel cardinality {len(elems)}:\n" + "\n".join(_vec_human(v) for v in elems),
+            {"cardinality": len(elems), "elements": [_vec_json(v) for v in elems]})
+
+
+def _linear(verdict: bool) -> tuple[str, dict]:
+    return "linear" if verdict else "not linear", {"linear": verdict}
+
+
+def _fourier_entry(pcs, x, code: Optional[ExplicitCode]) -> dict:
+    """The coefficient at x: summed over the scanned code, or with its counts."""
+    if code is not None:
+        v, entry = oracle_fourier(code, x), {}
+    else:
+        es = fourier_coeff_pcs(pcs, x)
+        v, s_x = es.evaluate(), pcs.s_row(x)
+        entry = {"counts": list(es.counts), "order": es.order,
+                 "s_x": _vec_json(s_x) if s_x is not None else None}
+    return {"x": _vec_json(x), "re": round(v.real, 12) + 0.0,
+            "im": round(v.imag, 12) + 0.0, **entry}
 
 
 def _fourier_human(entry) -> str:
+    if "counts" not in entry:
+        return f"x={entry['x']}  value={entry['re']}+{entry['im']}i"
     sx = entry["s_x"]
     tail = f"  S_x={sx}" if sx is not None else "  (outside the row span)"
     return (f"x={entry['x']}  counts={entry['counts']}  "
             f"value={entry['re']}+{entry['im']}i{tail}")
 
 
-def cmd_fourier(args) -> int:
-    pcs = as_system(_load(args))
+def _fourier(pcs, args, oracle: bool):
+    """The coefficient at one point, or the table over the row span (--all)."""
     if args.all:
-        if args.oracle:
-            code = oracle_code_from_pcs(pcs)
-            entries = []
-            for x in pcs.row_module.enumerate():
-                v = oracle_fourier(code, x)
-                entries.append({"x": _vec_json(x),
-                                "re": _round12(v.real), "im": _round12(v.imag)})
-            _emit(args,
-                  "\n".join(f"x={e['x']}  value={e['re']}+{e['im']}i" for e in entries),
-                  {"values": entries})
-            return 0
-        _check_counts_output(pcs, pcs.row_module.cardinality)
-        entries = [_fourier_entry(pcs, x) for x in pcs.row_module.enumerate()]
-        _emit(args, "\n".join(_fourier_human(e) for e in entries),
-              {"values": entries})
-        return 0
-    if args.vector is None:
+        points, count = pcs.row_module.enumerate(), pcs.row_module.cardinality
+    elif args.vector is None:
         raise ParseError("fourier needs a vector argument or --all")
-    x = parse_vector_literal(pcs.spec, args.vector)
-    if len(x) != pcs.n:
-        raise ParseError(f"vector has {len(x)} coordinates, system has n={pcs.n}")
-    if args.oracle:
-        v = oracle_fourier(oracle_code_from_pcs(pcs), x)
-        entry = {"x": _vec_json(x), "re": _round12(v.real), "im": _round12(v.imag)}
-        _emit(args, f"x={entry['x']}  value={entry['re']}+{entry['im']}i", entry)
-        return 0
-    _check_counts_output(pcs, 1)
-    entry = _fourier_entry(pcs, x)
-    _emit(args, _fourier_human(entry), entry)
-    return 0
+    else:
+        points, count = [_point(pcs, args.vector, "vector")], 1
+    code = oracle_code_from_pcs(pcs) if oracle else None
+    # the fast route's dense "counts" lists hold count * L ints
+    if code is None and count * pcs.spec.char_order > DEFAULT_BUDGET:
+        raise BudgetExceeded(count * pcs.spec.char_order, DEFAULT_BUDGET, "counts output")
+    entries = [_fourier_entry(pcs, x, code) for x in points]
+    human = "\n".join(_fourier_human(e) for e in entries)
+    return (human, {"values": entries}) if args.all else (human, entries[0])
 
 
-def cmd_enumerator(args) -> int:
-    pcs = as_system(_load(args))
-    if args.oracle:
-        hist = oracle_distance_distribution(oracle_code_from_pcs(pcs))
-        _emit(args, f"distance distribution: {hist}",
-              {"distance_distribution": hist})
-        return 0
-    dd = distance_distribution(pcs)
-    npoly = pcs_enumerator_poly(pcs)
-    _emit(
-        args,
-        f"distance distribution: {list(dd.coeffs)}\n"
-        f"D(x,y) = {dd}\n"
-        f"N(x,y) = {npoly}",
-        {"distance_distribution": list(dd.coeffs),
-         "system_polynomial": list(npoly.coeffs)},
-    )
-    return 0
+def _enumerator(pcs, args):
+    dd, npoly = distance_distribution(pcs), pcs_enumerator_poly(pcs)
+    return (f"distance distribution: {list(dd.coeffs)}\nD(x,y) = {dd}\nN(x,y) = {npoly}",
+            {"distance_distribution": list(dd.coeffs),
+             "system_polynomial": list(npoly.coeffs)})
+
+
+def _enumerator_oracle(pcs, args):
+    hist = oracle_distance_distribution(oracle_code_from_pcs(pcs))
+    return f"distance distribution: {hist}", {"distance_distribution": hist}
+
+
+class Command(NamedTuple):
+    help: str
+    mode: Optional[str]  # the file mode the subcommand needs; None for either
+    fast: Route
+    oracle: Route
+    arguments: tuple[tuple[str, dict], ...] = ()
+
+
+COMMANDS = {
+    "validate": Command(
+        "check the three system conditions", None, _validate,
+        partial(_crosschecked, route=_validate,
+                agrees=lambda pcs: oracle_validate(pcs.h_rows, pcs.s_rows) is None)),
+    "to-code": Command("pcs file -> code file", "pcs", _to_code,
+                       partial(_crosschecked, route=_to_code, agrees=_same_words)),
+    "to-pcs": Command("code file -> pcs file", "code", _to_pcs,
+                      partial(_crosschecked, route=_to_pcs, agrees=_same_words)),
+    "mindist": Command("minimum distance and a witness", None, _mindist, _mindist_oracle),
+    "decode": Command(
+        "decode a received word within the unique radius", None,
+        partial(_decode, decoder=decode), partial(_decode, decoder=_oracle_decode),
+        (("word", {"help": "received word, e.g. '5,2,0,1' or '(1,0),(0,1)'"}),)),
+    "kernel": Command("kernel of the code", None, _kernel, _kernel_oracle),
+    "islinear": Command(
+        "is the code a submodule?", None, lambda pcs, args: _linear(is_linear(pcs)),
+        lambda pcs, args: _linear(oracle_is_linear(oracle_code_from_pcs(pcs)))),
+    "fourier": Command(
+        "Fourier coefficients of the code indicator", None,
+        partial(_fourier, oracle=False), partial(_fourier, oracle=True),
+        (("vector", {"nargs": "?", "help": "evaluation point in R^n"}),
+         ("--all", {"action": "store_true",
+                    "help": "tabulate over the whole row span of H"}))),
+    "enumerator": Command("distance distribution polynomial", None,
+                          _enumerator, _enumerator_oracle),
+}
+
+
+def _run(args) -> int:
+    command = COMMANDS[args.command]
+    try:
+        pf = parse_problem(Path(args.file).read_text())
+    except FileNotFoundError as exc:
+        raise ParseError(f"cannot read {exc.filename}") from None
+    if command.mode is not None and pf.mode != command.mode:
+        raise ParseError(f"{args.command} expects a {command.mode}-mode file")
+    status = 0
+    try:
+        pcs = as_system(pf)
+    except tuple(_VIOLATIONS) as exc:
+        if args.command != "validate":
+            raise
+        cond, fields = _VIOLATIONS[type(exc)]
+        human = f"violation of condition ({'i' * cond}): {exc}"
+        payload, status = {"status": "violation", "condition": cond, **fields(exc)}, 2
+    else:
+        human, payload = (command.oracle if args.oracle else command.fast)(pcs, args)
+    if args.json:
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    else:
+        print(human)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,56 +314,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deterministic single-line JSON output")
     common.add_argument("--oracle", action="store_true",
                         help="use (or cross-check against) the brute-force path")
-
-    sub.add_parser("validate", parents=[common],
-                   help="check the three system conditions").set_defaults(func=cmd_validate)
-    sub.add_parser("to-code", parents=[common],
-                   help="pcs file -> code file").set_defaults(func=cmd_to_code)
-    sub.add_parser("to-pcs", parents=[common],
-                   help="code file -> pcs file").set_defaults(func=cmd_to_pcs)
-    sub.add_parser("mindist", parents=[common],
-                   help="minimum distance and a witness").set_defaults(func=cmd_mindist)
-    p = sub.add_parser("decode", parents=[common],
-                       help="decode a received word within the unique radius")
-    p.add_argument("word", help="received word, e.g. '5,2,0,1' or '(1,0),(0,1)'")
-    p.set_defaults(func=cmd_decode)
-    sub.add_parser("kernel", parents=[common],
-                   help="kernel of the code").set_defaults(func=cmd_kernel)
-    sub.add_parser("islinear", parents=[common],
-                   help="is the code a submodule?").set_defaults(func=cmd_islinear)
-    p = sub.add_parser("fourier", parents=[common],
-                       help="Fourier coefficients of the code indicator")
-    p.add_argument("vector", nargs="?", help="evaluation point in R^n")
-    p.add_argument("--all", action="store_true",
-                   help="tabulate over the whole row span of H")
-    p.set_defaults(func=cmd_fourier)
-    sub.add_parser("enumerator", parents=[common],
-                   help="distance distribution polynomial").set_defaults(func=cmd_enumerator)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, options in command.arguments:
+            p.add_argument(flag, **options)
     return parser
+
+
+# Failures reported on stderr: the first matching type gives the label and exit code.
+_FAILURES = (
+    (ParseError, "parse error", 3),
+    (BudgetExceeded, "budget exceeded", 4),
+    (PCSValidationError, "invalid system", 2),
+    (DegenerateCode, "degenerate code", 2),
+    (ValueError, "invalid input", 2),
+)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"parse error: cannot read {exc.filename}", file=sys.stderr)
-        return 3
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    except PCSValidationError as exc:
-        print(f"invalid system: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateCode as exc:
-        print(f"degenerate code: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+        return _run(args)
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        label, status = next((lb, st) for kind, lb, st in _FAILURES if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

@@ -130,8 +130,8 @@ def _weight_bins(pcs: ParityCheckSystem, budget: int) -> list[int]:
     for block in span_blocks(pcs.hs_forms):
         w = _weights(block, n)
         e = np.zeros((len(w), pcs.s), dtype=dtype)
-        for part, t in zip(block, spec.factors):
-            e = (e + part[:, n:].astype(dtype) * (L // t)) % L
+        for part, cw in zip(block, spec.character_weights):
+            e = (e + part[:, n:].astype(dtype) * cw) % L
         weights = np.repeat(w, pcs.s).tolist()
         for j in range(pcs.s):
             g = np.gcd(e - e[:, j : j + 1], L)

@@ -198,7 +198,7 @@ class GeneratingCharacter:
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self.order = spec.char_order
-        self._weights = tuple(self.order // t for t in spec.factors)
+        self._weights = spec.character_weights
 
     def exponent(self, a: RingElem) -> int:
         """The exponent e with character(a) = zeta_order^e."""
@@ -249,7 +249,7 @@ def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
     s_x = pcs.s_row(x)
     if s_x is None:
         return ExponentSum.zero(L)
-    weights = pcs.character_weights
+    weights = pcs.spec.character_weights
     exps = []
     for residues in s_x.coords:
         exps.append(-sum(map(mul, residues, weights)) % L)

@@ -159,12 +159,6 @@ class ParityCheckSystem:
         return self.spec.cardinality**self.n // self.row_module.cardinality
 
     @cached_property
-    def character_weights(self) -> tuple[int, ...]:
-        """L / t_f per factor, the weights of the generating character."""
-        L = self.spec.char_order
-        return tuple(L // t for t in self.spec.factors)
-
-    @cached_property
     def hs_forms(self) -> tuple[HowellForm, ...]:
         """One Howell form of [H | S] per ring factor.
 
@@ -289,8 +283,7 @@ class CodePresentation:
         With L = lcm(t_f), the generating character sends x . d to zeta_L^e
         with e = sum over (i, f) of x_(i,f) * row_(i,f), taken mod L.
         """
-        L = self.spec.char_order
-        weights = [L // t for t in self.spec.factors]
+        weights = self.spec.character_weights
         return tuple(
             tuple(a * w for coord in d.coords for a, w in zip(coord, weights))
             for d in self.representatives

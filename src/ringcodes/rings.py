@@ -62,6 +62,11 @@ class RingSpec:
         """Least common multiple of the factor moduli (the additive exponent)."""
         return math.lcm(*self.factors)
 
+    @cached_property
+    def character_weights(self) -> tuple[int, ...]:
+        """L / t_f per factor, the weights of the generating character."""
+        return tuple(self.char_order // t for t in self.factors)
+
     def zero(self) -> "RingElem":
         return RingElem(self, (0,) * len(self.factors))
 

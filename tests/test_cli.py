@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ringcodes import Submodule
 from ringcodes.cli import main
 
 PCS_TEXT = "Z6\npcs\n1 1 3 5 | 0 1 5\n0 4 2 2 | 0 2 4\n"
@@ -17,6 +18,10 @@ REPETITION_TEXT = "Z2\ncode\n1 1 1 1\n\n0 0 0 0\n"
 SINGLETON_TEXT = "Z4\npcs\n1 0 | 0\n0 1 | 0\n"
 LINEAR_TEXT = "Z4\ncode\n2 0\n0 2\n\n0 0\n1 1\n"
 HUGE_TEXT = "Z50\npcs\n1 1 1 1 1 | 0\n"
+# the code of HUGE_TEXT: kernel of size 50^4, one coset
+HUGE_CODE_TEXT = (
+    "Z50\ncode\n1 49 0 0 0\n1 0 49 0 0\n1 0 0 49 0\n1 0 0 0 49\n\n0 0 0 0 0\n"
+)
 BAD_COND1_TEXT = "Z6\npcs\n1 1 3 5 | 0 1 5 1\n0 4 2 2 | 0 2 4 1\n"
 BIG_L_TEXT = "Z65521xZ65519\npcs\n(1,2) (2,0) (3,5) | (0,0) (5,1) (7,3) (9,2)\n"
 
@@ -31,6 +36,7 @@ def files(tmp_path):
         ("single", SINGLETON_TEXT),
         ("linear", LINEAR_TEXT),
         ("huge", HUGE_TEXT),
+        ("huge_code", HUGE_CODE_TEXT),
         ("bad1", BAD_COND1_TEXT),
         ("big_l", BIG_L_TEXT),
     ]:
@@ -140,6 +146,13 @@ def test_mindist_degenerate(files, capsys):
     code, _, err = run(capsys, "mindist", files["single"])
     assert code == 2
     assert "degenerate" in err
+
+
+def test_degenerate_code_under_oracle(files, capsys):
+    for argv in (["mindist", files["single"]], ["decode", files["single"], "1,0"]):
+        fast = run(capsys, *argv)
+        assert fast == run(capsys, *argv, "--oracle")
+        assert fast == (2, "", "degenerate code: the code has exactly one word\n")
 
 
 def test_decode_radius_zero(files, capsys):
@@ -290,6 +303,18 @@ def test_budget_exhaustion_exits_4(files, capsys):
     code, _, err = run(capsys, "mindist", files["huge"], "--oracle")
     assert code == 4
     assert "budget" in err
+
+
+def test_conversion_crosscheck_scans_before_listing_words(files, capsys, monkeypatch):
+    # |C| = 50^4 fits the budget, but the scan of R^5 (50^5 states) does not
+    def listing_words(self, budget=None):
+        raise AssertionError("the code's words were listed before the scan")
+
+    monkeypatch.setattr(Submodule, "enumerate", listing_words)
+    for argv in (["to-code", files["huge"]], ["to-pcs", files["huge_code"]]):
+        code, out, err = run(capsys, *argv, "--oracle")
+        assert (code, out) == (4, "")
+        assert err == "budget exceeded: scan of R^5 needs 312500000 states, budget is 10000000\n"
 
 
 def test_plain_output_is_human_readable(files, capsys):
