@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -55,7 +55,7 @@ from .pcs import (
     kernel,
     pcs_to_code,
 )
-from .rings import DEFAULT_BUDGET, BudgetExceeded, RingVec, dot, vec_add, vec_sub
+from .rings import BudgetExceeded, RingVec, check_budget, dot, vec_add, vec_sub
 
 Route = Callable[[ParityCheckSystem, argparse.Namespace], tuple[str, dict]]
 
@@ -219,9 +219,8 @@ def _fourier(pcs, args, oracle: bool):
     else:
         points, count = [_point(pcs, args.vector, "vector")], 1
     code = oracle_code_from_pcs(pcs) if oracle else None
-    # the fast route's dense "counts" lists hold count * L ints
-    if code is None and count * pcs.spec.char_order > DEFAULT_BUDGET:
-        raise BudgetExceeded(count * pcs.spec.char_order, DEFAULT_BUDGET, "counts output")
+    if code is None:  # the fast route's dense "counts" lists hold count * L ints
+        check_budget(count * pcs.spec.char_order, "counts output", "entries")
     entries = [_fourier_entry(pcs, x, code) for x in points]
     human = "\n".join(_fourier_human(e) for e in entries)
     return (human, {"values": entries}) if args.all else (human, entries[0])
@@ -302,6 +301,7 @@ def _run(args) -> int:
     return status
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringcodes",

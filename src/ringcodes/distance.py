@@ -25,10 +25,9 @@ from typing import Iterator, Optional
 from .pcs import ParityCheckSystem
 from .reach import SyndromeSpace
 from .rings import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
     RingSpec,
     RingVec,
+    check_budget,
     vec_neg,
     vec_sub,
     zero_vec,
@@ -188,7 +187,6 @@ def _shell_errors(pcs: ParityCheckSystem, radius: int) -> Iterator[tuple[int, Ri
     needed = 0
     for w in range(radius + 1):
         needed += math.comb(n, w) * (q - 1) ** w
-        if needed > DEFAULT_BUDGET:
-            raise BudgetExceeded(needed, DEFAULT_BUDGET, "weight-shell search")
+        check_budget(needed, "weight-shell search")
         for y in weight_shell(pcs.spec, n, w):
             yield w, y

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .howell import span_blocks
 from .pcs import ParityCheckSystem, is_linear, pcs_to_code
-from .rings import DEFAULT_BUDGET, BudgetExceeded
+from .rings import check_budget
 from .submodules import Submodule
 
 
@@ -115,13 +115,12 @@ def _mobius_phi(d: int, primes: Sequence[int]) -> tuple[int, int]:
     return mu, phi
 
 
-def _weight_bins(pcs: ParityCheckSystem, budget: int) -> list[int]:
+def _weight_bins(pcs: ParityCheckSystem) -> list[int]:
     """Exact sum of |Fourier coefficient|^2 per weight over the row span of H."""
     import numpy as np
 
     card = pcs.row_module.cardinality
-    if card > budget:
-        raise BudgetExceeded(card, budget, "row span walk")
+    check_budget(card, "row span walk")
     spec, n = pcs.spec, pcs.n
     L = spec.char_order
     # an exponent plus a term stays below 2^63 while L < 2^62
@@ -146,11 +145,9 @@ def _weight_bins(pcs: ParityCheckSystem, budget: int) -> list[int]:
     return [c * c * v for v in _divide_exact(sums, phi_L)]
 
 
-def pcs_enumerator_poly(
-    pcs: ParityCheckSystem, budget: int = DEFAULT_BUDGET
-) -> EnumeratorPoly:
+def pcs_enumerator_poly(pcs: ParityCheckSystem) -> EnumeratorPoly:
     """The system polynomial N(x, y), exactly."""
-    return EnumeratorPoly(pcs.n, tuple(_weight_bins(pcs, budget)))
+    return EnumeratorPoly(pcs.n, tuple(_weight_bins(pcs)))
 
 
 def _binomial_substitution(coeffs: Sequence[int], q: int, n: int) -> list[int]:
@@ -170,16 +167,14 @@ def _binomial_substitution(coeffs: Sequence[int], q: int, n: int) -> list[int]:
     return out
 
 
-def distance_distribution(
-    pcs: ParityCheckSystem, budget: int = DEFAULT_BUDGET
-) -> EnumeratorPoly:
+def distance_distribution(pcs: ParityCheckSystem) -> EnumeratorPoly:
     """Ordered-pair distance counts D_0..D_n: N(x + (|R|-1) y, x - y) / |R|^n.
 
     Raises NonIntegerCoefficient when any coefficient is not an integer,
     which a valid system never produces.
     """
     q = pcs.spec.cardinality
-    return macwilliams_transform(pcs_enumerator_poly(pcs, budget), q, q**pcs.n)
+    return macwilliams_transform(pcs_enumerator_poly(pcs), q, q**pcs.n)
 
 
 def macwilliams_transform(poly: EnumeratorPoly, q: int, divisor: int) -> EnumeratorPoly:
@@ -188,9 +183,7 @@ def macwilliams_transform(poly: EnumeratorPoly, q: int, divisor: int) -> Enumera
     return EnumeratorPoly(poly.n, tuple(_divide_exact(raw, divisor)))
 
 
-def weight_enumerator_linear(
-    pcs: ParityCheckSystem, budget: int = DEFAULT_BUDGET
-) -> EnumeratorPoly:
+def weight_enumerator_linear(pcs: ParityCheckSystem) -> EnumeratorPoly:
     """Weight enumerator of a linear code, cross-checked along two routes.
 
     Route one divides the distance distribution by |C|.  Route two builds
@@ -203,7 +196,7 @@ def weight_enumerator_linear(
     if not is_linear(pcs):
         raise ValueError("the code of this system is not linear")
     size = pcs.code_cardinality()
-    direct = _divide_exact(distance_distribution(pcs, budget).coeffs, size)
+    direct = _divide_exact(distance_distribution(pcs).coeffs, size)
     direct_poly = EnumeratorPoly(pcs.n, tuple(direct))
 
     pres = pcs_to_code(pcs)

@@ -27,11 +27,10 @@ from typing import Callable, Optional
 
 from .pcs import CodePresentation, ParityCheckSystem
 from .rings import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
     RingElem,
     RingSpec,
     RingVec,
+    check_budget,
     dot,
     enumerate_vectors,
     vec_neg,
@@ -260,7 +259,6 @@ def poisson_sum(
     pres: CodePresentation,
     f: Callable[[RingVec], complex],
     f_hat: Optional[Callable[[RingVec], complex]] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> complex:
     """Sum of f over the code, evaluated entirely on the dual side.
 
@@ -275,12 +273,8 @@ def poisson_sum(
     eps = generating_character(spec)
     L = eps.order
     if f_hat is None:
-        total = spec.cardinality**n
-        if total > budget or dual.cardinality * total > budget:
-            raise BudgetExceeded(
-                max(total, dual.cardinality * total), budget, "naive transform"
-            )
-        table = [(y, f(y)) for y in enumerate_vectors(spec, n, budget)]
+        check_budget(dual.cardinality * spec.cardinality**n, "naive transform")
+        table = [(y, f(y)) for y in enumerate_vectors(spec, n)]
 
         def f_hat(x: RingVec) -> complex:
             acc = 0j
@@ -293,6 +287,6 @@ def poisson_sum(
     )
     reflected._dual = dual  # same kernel, same annihilator
     acc = 0j
-    for x in dual.enumerate(budget):
+    for x in dual.enumerate():
         acc += f_hat(x) * fourier_coeff_coset(reflected, x).evaluate()
     return acc / spec.cardinality**n

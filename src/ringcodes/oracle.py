@@ -13,10 +13,9 @@ from typing import Iterable, Optional, Sequence
 
 from .pcs import ParityCheckSystem
 from .rings import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
     RingSpec,
     RingVec,
+    check_budget,
     dot,
     enumerate_vectors,
     hamming,
@@ -43,29 +42,26 @@ class ExplicitCode:
         return len(self.words)
 
 
-def _gate_pairs(code: ExplicitCode, budget: int) -> None:
-    if len(code.words) ** 2 > budget:
-        raise BudgetExceeded(len(code.words) ** 2, budget, "all-pairs scan")
+def _gate_pairs(code: ExplicitCode) -> None:
+    check_budget(len(code.words) ** 2, "all-pairs scan")
 
 
-def oracle_code_from_pcs(
-    pcs: ParityCheckSystem, budget: int = DEFAULT_BUDGET
-) -> ExplicitCode:
+def oracle_code_from_pcs(pcs: ParityCheckSystem) -> ExplicitCode:
     """Scan R^n and keep the words whose syndrome is a column of S."""
     colset = set(pcs.s_cols)
     words = []
-    for x in enumerate_vectors(pcs.spec, pcs.n, budget):
+    for x in enumerate_vectors(pcs.spec, pcs.n):
         syn = RingVec.of(pcs.spec, [dot(h, x) for h in pcs.h_rows])
         if syn in colset:
             words.append(x)
     return ExplicitCode(pcs.spec, pcs.n, frozenset(words))
 
 
-def oracle_min_distance(code: ExplicitCode, budget: int = DEFAULT_BUDGET) -> int:
+def oracle_min_distance(code: ExplicitCode) -> int:
     """Minimum over all pairs of distinct words."""
     if len(code.words) < 2:
         raise ValueError("minimum distance needs at least two words")
-    _gate_pairs(code, budget)
+    _gate_pairs(code)
     words = sorted(code.words, key=lambda v: v.coords)
     best = code.n
     for i, a in enumerate(words):
@@ -76,11 +72,9 @@ def oracle_min_distance(code: ExplicitCode, budget: int = DEFAULT_BUDGET) -> int
     return best
 
 
-def oracle_distance_distribution(
-    code: ExplicitCode, budget: int = DEFAULT_BUDGET
-) -> list[int]:
+def oracle_distance_distribution(code: ExplicitCode) -> list[int]:
     """Ordered-pair distance histogram, length n + 1."""
-    _gate_pairs(code, budget)
+    _gate_pairs(code)
     words = list(code.words)
     hist = [0] * (code.n + 1)
     for a in words:
@@ -89,7 +83,7 @@ def oracle_distance_distribution(
     return hist
 
 
-def oracle_kernel(code: ExplicitCode, budget: int = DEFAULT_BUDGET) -> frozenset[RingVec]:
+def oracle_kernel(code: ExplicitCode) -> frozenset[RingVec]:
     """{y : r y + c is a word, for every scalar r and word c}, by scanning.
 
     The r = 1 case already forces y to be a difference of words, so the
@@ -99,10 +93,7 @@ def oracle_kernel(code: ExplicitCode, budget: int = DEFAULT_BUDGET) -> frozenset
     first = next(iter(sorted(words, key=lambda v: v.coords)))
     candidates = {vec_sub(w, first) for w in words}
     scalars = code.spec.elements()
-    if len(candidates) * len(words) * len(scalars) > budget:
-        raise BudgetExceeded(
-            len(candidates) * len(words) * len(scalars), budget, "kernel scan"
-        )
+    check_budget(len(candidates) * len(words) * len(scalars), "kernel scan")
     out = []
     for y in candidates:
         ok = True
@@ -116,9 +107,9 @@ def oracle_kernel(code: ExplicitCode, budget: int = DEFAULT_BUDGET) -> frozenset
     return frozenset(out)
 
 
-def oracle_is_linear(code: ExplicitCode, budget: int = DEFAULT_BUDGET) -> bool:
+def oracle_is_linear(code: ExplicitCode) -> bool:
     """Closure of the word set under addition and scalar multiples."""
-    _gate_pairs(code, budget)
+    _gate_pairs(code)
     words = code.words
     for a in words:
         for b in words:
@@ -132,12 +123,12 @@ def oracle_is_linear(code: ExplicitCode, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def oracle_annihilator(
-    spec: RingSpec, n: int, vectors: Iterable[RingVec], budget: int = DEFAULT_BUDGET
+    spec: RingSpec, n: int, vectors: Iterable[RingVec]
 ) -> frozenset[RingVec]:
     """All y in R^n with x . y = 0 for every given x, by scanning R^n."""
     vecs = list(vectors)
     out = []
-    for y in enumerate_vectors(spec, n, budget):
+    for y in enumerate_vectors(spec, n):
         if all(dot(x, y).is_zero() for x in vecs):
             out.append(y)
     return frozenset(out)
@@ -174,7 +165,6 @@ def oracle_nearest(code: ExplicitCode, x: RingVec) -> tuple[int, list[RingVec]]:
 def oracle_validate(
     h_rows: Sequence[RingVec],
     s_rows: Sequence[RingVec],
-    budget: int = DEFAULT_BUDGET,
 ) -> Optional[tuple[int, tuple]]:
     """Check the three system conditions by exhaustive scans.
 
@@ -189,7 +179,7 @@ def oracle_validate(
     m = len(h_rows)
     s = len(s_rows[0])
     images = [set() for _ in range(m)]
-    for x in enumerate_vectors(spec, n, budget):
+    for x in enumerate_vectors(spec, n):
         for i, h in enumerate(h_rows):
             images[i].add(dot(h, x))
     for i in range(m):
@@ -201,9 +191,7 @@ def oracle_validate(
         for b in range(a + 1, s):
             if cols[a] == cols[b]:
                 return (2, (a + 1, b + 1))
-    if spec.cardinality**m > budget:
-        raise BudgetExceeded(spec.cardinality**m, budget, "dependency scan")
-    for r in enumerate_vectors(spec, m, budget):
+    for r in enumerate_vectors(spec, m):
         combo_h = None
         combo_s = None
         for i in range(m):

@@ -21,10 +21,10 @@ from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
+from . import rings
 from .howell import HowellForm
 from .reach import SyndromeSpace
 from .rings import (
-    DEFAULT_BUDGET,
     RingElem,
     RingSpec,
     RingVec,
@@ -124,7 +124,7 @@ class ParityCheckSystem:
 
     def syndrome_space(self) -> Optional[SyndromeSpace]:
         """The cached reachability tables, or None above DEFAULT_BUDGET bytes."""
-        if SyndromeSpace.nbytes(self.spec, self.m, self.n) > DEFAULT_BUDGET:
+        if SyndromeSpace.nbytes(self.spec, self.m, self.n) > rings.DEFAULT_BUDGET:
             return None
         if self._syndrome_space is None:
             self._syndrome_space = SyndromeSpace(self.spec, self.h_rows)

@@ -20,18 +20,28 @@ from typing import Iterable, Iterator, Sequence, Union
 #: means any product of two residues fits in a 64-bit signed integer.
 MAX_MODULUS = 2**31
 
-#: Default cap on the number of states an exhaustive scan may visit.
+#: The one cap on every exhaustive stage (see check_budget).
 DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceeded(Exception):
-    """An exhaustive computation would visit more states than allowed."""
+    """An exhaustive stage would need more states (or entries) than allowed."""
 
-    def __init__(self, needed: int, budget: int, what: str = "enumeration"):
+    def __init__(self, needed: int, budget: int, what: str, unit: str):
         self.needed = needed
         self.budget = budget
         self.what = what
-        super().__init__(f"{what} needs {needed} states, budget is {budget}")
+        self.unit = unit
+        super().__init__(f"{what} needs {needed} {unit}, budget is {budget}")
+
+
+def check_budget(needed: int, what: str, unit: str = "states") -> None:
+    """The gate of every exhaustive stage: raise unless needed <= DEFAULT_BUDGET.
+
+    The limit is read at call time, so patching rings.DEFAULT_BUDGET moves it.
+    """
+    if needed > DEFAULT_BUDGET:
+        raise BudgetExceeded(needed, DEFAULT_BUDGET, what, unit)
 
 
 @dataclass(frozen=True)
@@ -285,18 +295,14 @@ def support(x: RingVec) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(x.coords) if c != zero)
 
 
-def enumerate_vectors(
-    spec: RingSpec, n: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[RingVec]:
+def enumerate_vectors(spec: RingSpec, n: int) -> Iterator[RingVec]:
     """All of R^n in odometer order, last coordinate fastest.
 
     A coordinate value is itself ordered by its residue tuple (last factor
     fastest), so the whole stream is lexicographic in the flattened residues.
     Raises BudgetExceeded before yielding anything if |R|^n is too large.
     """
-    total = spec.cardinality**n
-    if total > budget:
-        raise BudgetExceeded(total, budget, f"scan of R^{n}")
+    check_budget(spec.cardinality**n, f"scan of R^{n}")
     coord_values = [residues for residues in product(*(range(t) for t in spec.factors))]
     for combo in product(coord_values, repeat=n):
         yield RingVec(spec, combo)

@@ -15,13 +15,7 @@ import math
 from typing import Iterator, Optional, Sequence
 
 from .howell import HowellForm, howell_rows, span_blocks
-from .rings import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    RingSpec,
-    RingVec,
-    from_components,
-)
+from .rings import RingSpec, RingVec, check_budget, from_components
 
 
 def factor_matrix(spec: RingSpec, rows: Sequence[RingVec], f: int, n: int) -> list[tuple[int, ...]]:
@@ -92,10 +86,9 @@ class Submodule:
             forms.append(howell_rows(dual_gens, n, t))
         return Submodule(self.spec, self.ambient_n, forms)
 
-    def enumerate(self, budget: int = DEFAULT_BUDGET) -> Iterator[RingVec]:
+    def enumerate(self) -> Iterator[RingVec]:
         """All elements exactly once: odometer over factors, last factor fastest."""
-        if self.cardinality > budget:
-            raise BudgetExceeded(self.cardinality, budget, "submodule enumeration")
+        check_budget(self.cardinality, "submodule enumeration")
         for block in span_blocks(self.forms):
             parts = [b.tolist() for b in block]
             for i in range(len(parts[0])):

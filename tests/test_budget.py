@@ -1,0 +1,132 @@
+"""The one budget gate: every exhaustive stage's count, unit and limit.
+
+rings.check_budget is the only place that raises BudgetExceeded, and it
+reads rings.DEFAULT_BUDGET at call time, so patching that one constant
+moves the limit of every stage.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+import ringcodes
+from ringcodes import (
+    BudgetExceeded,
+    ExplicitCode,
+    Submodule,
+    enumerate_vectors,
+    min_distance_witness,
+    oracle_kernel,
+    oracle_min_distance,
+    pcs_enumerator_poly,
+    poisson_sum,
+)
+from ringcodes.cli import COMMANDS
+from conftest import Z6, Z6_D_GENS, build_z6_pcs, build_z6_presentation, rv
+
+SRC = Path(ringcodes.__file__).resolve().parent
+
+
+def _small_code() -> ExplicitCode:
+    return ExplicitCode(Z6, 2, frozenset(rv(Z6, (a, 0)) for a in range(6)))
+
+
+def _fourier_point():
+    args = argparse.Namespace(all=False, vector="3,3,3,3")
+    return COMMANDS["fourier"].fast(build_z6_pcs(), args)
+
+
+# stage -> (a call on a fresh small instance, what it needs, unit)
+STAGES = {
+    # |Z6|^2
+    "scan of R^2": (lambda: list(enumerate_vectors(Z6, 2)), 36, "states"),
+    # |D| for the Z6 kernel
+    "submodule enumeration": (
+        lambda: list(Submodule.from_generators(Z6, 4, [rv(Z6, g) for g in Z6_D_GENS]).enumerate()),
+        72,
+        "states",
+    ),
+    # the row span of the Z6 H
+    "row span walk": (lambda: pcs_enumerator_poly(build_z6_pcs()), 18, "states"),
+    # shells 0..2 of Z6^4 (d = 2): 1 + 4*5 + 6*25; the tables need 4680 bytes
+    "weight-shell search": (lambda: min_distance_witness(build_z6_pcs()), 171, "states"),
+    # |dual| * |Z6|^4 = 18 * 1296
+    "naive transform": (
+        lambda: poisson_sum(build_z6_presentation(), lambda v: 1.0),
+        23328,
+        "states",
+    ),
+    # 6 words, 6^2 ordered pairs
+    "all-pairs scan": (lambda: oracle_min_distance(_small_code()), 36, "states"),
+    # 6 candidates * 6 words * 6 scalars
+    "kernel scan": (lambda: oracle_kernel(_small_code()), 216, "states"),
+    # one point times L = 6 dense counts
+    "counts output": (_fourier_point, 6, "entries"),
+}
+
+
+@pytest.mark.parametrize("what", STAGES)
+def test_every_stage_meets_its_limit_exactly(what, monkeypatch):
+    run, needed, unit = STAGES[what]
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", needed)
+    run()
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", needed - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        run()
+    err = exc.value
+    assert (err.what, err.needed, err.budget, err.unit) == (what, needed, needed - 1, unit)
+    assert str(err) == f"{what} needs {needed} {unit}, budget is {needed - 1}"
+
+
+def _constructions(tree: ast.AST) -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetExceeded"
+    ]
+
+
+def test_budget_exceeded_is_built_only_by_the_gate():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    counts = {name: len(_constructions(tree)) for name, tree in trees.items()}
+    assert {name: c for name, c in counts.items() if c} == {"rings.py": 1}
+    gate = next(
+        node
+        for node in ast.walk(trees["rings.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "check_budget"
+    )
+    assert len(_constructions(gate)) == 1
+
+
+def test_no_function_takes_a_budget():
+    # BudgetExceeded only reports the limit; no callable lets a caller set one
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {
+            node
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "BudgetExceeded"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node not in exempt:
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                assert "budget" not in names, f"{path.name}:{node.lineno}"
+    for name in set(ringcodes.__all__) - {"BudgetExceeded"}:
+        obj = getattr(ringcodes, name)
+        members = [obj]
+        if inspect.isclass(obj):
+            members += [f for k, f in vars(obj).items() if callable(f) and not k.startswith("_")]
+        for f in filter(callable, members):
+            try:
+                params = inspect.signature(f).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            assert "budget" not in params, name

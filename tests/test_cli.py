@@ -307,7 +307,7 @@ def test_budget_exhaustion_exits_4(files, capsys):
 
 def test_conversion_crosscheck_scans_before_listing_words(files, capsys, monkeypatch):
     # |C| = 50^4 fits the budget, but the scan of R^5 (50^5 states) does not
-    def listing_words(self, budget=None):
+    def listing_words(self):
         raise AssertionError("the code's words were listed before the scan")
 
     monkeypatch.setattr(Submodule, "enumerate", listing_words)

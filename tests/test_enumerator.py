@@ -203,11 +203,13 @@ def test_blocked_span_walk_matches_one_block(monkeypatch, z6_pcs):
         assert [pcs_enumerator_poly(z6_pcs), weight_enumerator_linear(linear)] == want
 
 
-def test_enumerators_honour_the_budget(z6_pcs):
+def test_enumerators_honour_the_budget(z6_pcs, monkeypatch):
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 17)
     for fn in (pcs_enumerator_poly, distance_distribution):
         with pytest.raises(BudgetExceeded):
-            fn(z6_pcs, budget=17)
-    assert distance_distribution(z6_pcs, budget=18).coeffs == Z6_DISTANCE_DISTRIBUTION
+            fn(z6_pcs)
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 18)
+    assert distance_distribution(z6_pcs).coeffs == Z6_DISTANCE_DISTRIBUTION
 
 
 def test_large_character_order_allocates_nothing_of_length_L():

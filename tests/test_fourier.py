@@ -408,9 +408,10 @@ def test_poisson_accepts_a_supplied_transform():
     assert abs(got - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
-def test_poisson_budget_gate():
+def test_poisson_budget_gate(monkeypatch):
     spec = parse_ring("Z6")
     D = Submodule.from_generators(spec, 4, [])
     pres = CodePresentation(D, (zero_vec(spec, 4),))
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        poisson_sum(pres, lambda v: 1.0, budget=100)
+        poisson_sum(pres, lambda v: 1.0)

@@ -104,21 +104,22 @@ def test_oracle_validate_detects_broken_dependency():
     assert verdict[0] == 3
 
 
-def test_oracle_budget_gates():
+def test_oracle_budget_gates(monkeypatch):
     spec = parse_ring("Z6")
     big = ExplicitCode(
         spec, 2, frozenset(rv(spec, (a, b)) for a in range(6) for b in range(6))
     )
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        oracle_min_distance(big, budget=100)
+        oracle_min_distance(big)
     with pytest.raises(BudgetExceeded):
-        oracle_distance_distribution(big, budget=100)
+        oracle_distance_distribution(big)
     with pytest.raises(BudgetExceeded):
-        oracle_is_linear(big, budget=100)
+        oracle_is_linear(big)
     with pytest.raises(BudgetExceeded):
-        oracle_kernel(big, budget=100)
+        oracle_kernel(big)
     with pytest.raises(BudgetExceeded):
-        oracle_annihilator(spec, 10, [], budget=100)
+        oracle_annihilator(spec, 10, [])
 
 
 def test_explicit_code_rejects_empty():

@@ -168,10 +168,11 @@ def test_enumerate_vectors_order_and_count():
     assert vs6[0] == zero_vec(spec6, 3)
 
 
-def test_enumerate_vectors_budget():
+def test_enumerate_vectors_budget(monkeypatch):
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 100)
     spec = parse_ring("Z6")
     with pytest.raises(BudgetExceeded) as exc:
-        list(enumerate_vectors(spec, 4, budget=100))
+        list(enumerate_vectors(spec, 4))
     assert exc.value.needed == 1296
     assert exc.value.budget == 100
 

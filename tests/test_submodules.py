@@ -104,14 +104,15 @@ def test_canonical_generators_regenerate_the_module():
         assert again == D
 
 
-def test_enumerate_is_exact_and_budgeted():
+def test_enumerate_is_exact_and_budgeted(monkeypatch):
     D = z6_kernel()
     elems = list(D.enumerate())
     assert len(elems) == 72
     assert len(set(elems)) == 72
     assert all(D.contains(v) for v in elems)
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        list(D.enumerate(budget=10))
+        list(D.enumerate())
 
 
 def test_enumerate_order_is_independent_of_the_block(monkeypatch):
