@@ -56,7 +56,7 @@ def main() -> None:
     for err in ([0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 1, 0]):
         e = RingVec.of(rep.spec, err)
         received = vec_add(sent, e)
-        res = decode(rep, received, min_dist=d_rep)
+        res = decode(rep, received)
         print(f"  received {received}: decoded to {res.codeword}, "
               f"error {res.error_vector} (weight {res.error_weight})")
 

@@ -48,7 +48,6 @@ from .distance import (
     BeyondRadius,
     DecodeResult,
     DegenerateCode,
-    SyndromeSet,
     decode,
     min_distance,
     min_distance_witness,

@@ -8,11 +8,13 @@ difference is irrelevant because x and -x share a weight).  Decoding a
 received word x within radius floor((d-1)/2) searches error vectors y by
 increasing weight until H(x - y)^T hits a column of S.
 
-Both searches return the first hit in weight-shell order.  They run on the
-system's cached reachability tables over R^m (see reach.py) when those fit
-in DEFAULT_BUDGET bytes, and otherwise list the weight shells of R^n, up
-to DEFAULT_BUDGET vectors; both routes give the same answers.  The
-distance is cached on the system either way.
+Both are one search: the first y in weight-shell order whose weight lies
+in a range and with rho - H y^T in a target set Z; the distance takes
+rho = 0 and Z = -S^diff, decoding rho = H x^T and Z = col(S).  It runs on
+the system's cached reachability tables over R^m (see reach.py) when
+those fit in DEFAULT_BUDGET bytes, and otherwise lists the weight shells
+of R^n, up to DEFAULT_BUDGET vectors; both routes give the same answers.
+The distance is cached on the system either way.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .pcs import ParityCheckSystem
-from .reach import SyndromeSpace
 from .rings import (
     RingSpec,
     RingVec,
@@ -48,22 +49,6 @@ class BeyondRadius(Exception):
 
 
 @dataclass(frozen=True)
-class SyndromeSet:
-    """An immutable set of syndrome vectors with fast membership."""
-
-    elements: frozenset[RingVec]
-
-    def __contains__(self, v: RingVec) -> bool:
-        return v in self.elements
-
-    def __iter__(self):
-        return iter(sorted(self.elements, key=lambda v: v.coords))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
 class DecodeResult:
     codeword: RingVec
     coset_index: int
@@ -71,23 +56,23 @@ class DecodeResult:
     error_weight: int
 
 
-def sdiff(pcs: ParityCheckSystem) -> SyndromeSet:
-    """Ordered-pair column differences (k < l) plus zero."""
+def sdiff(pcs: ParityCheckSystem) -> tuple[RingVec, ...]:
+    """Ordered-pair column differences (k < l) plus zero, sorted by coords."""
     cols = pcs.s_cols
     out = {zero_vec(pcs.spec, pcs.m)}
     for k in range(len(cols)):
         for l in range(k + 1, len(cols)):
             out.add(vec_sub(cols[l], cols[k]))
-    return SyndromeSet(frozenset(out))
+    return tuple(sorted(out, key=lambda v: v.coords))
 
 
 def weight_shell(spec: RingSpec, n: int, w: int) -> Iterator[RingVec]:
-    """All weight-w vectors: supports lexicographic, values odometer order."""
+    """All weight-w vectors: supports lexicographic, values in nonzero_residues order."""
     if w == 0:
         yield zero_vec(spec, n)
         return
     zero = (0,) * spec.nfactors
-    nonzero = [e.residues for e in spec.elements() if e.residues != zero]
+    nonzero = spec.nonzero_residues()
     for supp in combinations(range(n), w):
         for values in product(nonzero, repeat=w):
             coords = [zero] * n
@@ -101,79 +86,77 @@ def min_distance_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:
 
     The witness is a nonzero vector of minimal weight whose syndrome lies in
     S^diff; shell order makes it a deterministic function of the system.
-    The search runs on the system's reachability tables unless they would
-    outgrow DEFAULT_BUDGET bytes; then it lists the weight shells.  The
-    answer is cached on the system.
+    The answer is cached on the system.
     """
     if pcs.s == 1 and pcs.kernel_module.cardinality == 1:
         raise DegenerateCode("the code has exactly one word")
     if pcs._distance is None:
-        space = pcs.syndrome_space()
-        pcs._distance = _shell_witness(pcs) if space is None else _table_witness(pcs, space)
+        # x with 0 - H x^T in -S^diff, i.e. H x^T in S^diff
+        found = _first(
+            pcs, zero_vec(pcs.spec, pcs.m), [vec_neg(v) for v in sdiff(pcs)], 1, pcs.n
+        )
+        if found is None:
+            raise AssertionError("unreachable: two distinct words differ somewhere")
+        pcs._distance = found
     return pcs._distance
-
-
-def _table_witness(pcs: ParityCheckSystem, space: SyndromeSpace) -> tuple[int, RingVec]:
-    """min_distance_witness on the reachability tables."""
-    # x with 0 - H x^T in -S^diff, i.e. H x^T in S^diff
-    table = space.table(vec_neg(v) for v in sdiff(pcs).elements)
-    zero = space.index(zero_vec(pcs.spec, pcs.m))
-    for w in range(1, pcs.n + 1):
-        if table.reaches(zero, w):
-            return w, table.first(zero, w)
-    raise AssertionError("unreachable: two distinct words differ somewhere")
-
-
-def _shell_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:
-    """min_distance_witness by listing the weight shells of R^n."""
-    diffs = sdiff(pcs)
-    for w, x in _shell_errors(pcs, pcs.n):
-        if w and pcs.syndrome(x) in diffs:
-            return w, x
-    raise AssertionError("unreachable: two distinct words differ somewhere")
 
 
 def min_distance(pcs: ParityCheckSystem) -> int:
     return min_distance_witness(pcs)[0]
 
 
-def decode(
-    pcs: ParityCheckSystem, x: RingVec, min_dist: Optional[int] = None
-) -> DecodeResult:
+def decode(pcs: ParityCheckSystem, x: RingVec) -> DecodeResult:
     """Nearest-codeword decoding inside the unique-decoding radius.
 
-    min_dist may be passed to skip the distance computation.  Within the
-    radius floor((d-1)/2) the nearest codeword is unique, so the first
-    error vector found in shell order is the answer.  Outside it, raises
-    BeyondRadius.  The route is chosen as in min_distance_witness.
+    Within the radius floor((d-1)/2) the nearest codeword is unique, so the
+    first error vector y in shell order with H x^T - H y^T a column of S is
+    the answer.  Outside it, raises BeyondRadius.
     """
     if x.spec != pcs.spec or len(x) != pcs.n:
         raise ValueError("received word does not match the ambient space")
-    d = min_distance(pcs) if min_dist is None else min_dist
-    radius = (d - 1) // 2
+    radius = (min_distance(pcs) - 1) // 2
     sx = pcs.syndrome(x)
+    found = _first(pcs, sx, pcs.s_cols, 0, radius)
+    if found is None:
+        raise BeyondRadius(x, radius)
+    w, y = found
+    return DecodeResult(
+        codeword=vec_sub(x, y),
+        coset_index=pcs.syndrome_to_col[vec_sub(sx, pcs.syndrome(y))],
+        error_vector=y,
+        error_weight=w,
+    )
+
+
+def _first(
+    pcs: ParityCheckSystem, rho: RingVec, targets: Sequence[RingVec], lo: int, hi: int
+) -> Optional[tuple[int, RingVec]]:
+    """(w, y) for the first y in shell order with lo <= w <= hi and
+    rho - H y^T in targets, or None.
+
+    The search runs on the system's reachability tables unless they would
+    outgrow DEFAULT_BUDGET bytes; then it lists the weight shells.
+    """
     space = pcs.syndrome_space()
     if space is None:
-        errors = _shell_errors(pcs, radius)
-    else:
-        # y with H x^T - H y^T a column of S
-        table = space.table(pcs.s_cols)
-        rho = space.index(sx)
-        errors = (
-            (w, table.first(rho, w))
-            for w in range(min(radius, pcs.n) + 1)
-            if table.reaches(rho, w)
-        )
-    for w, y in errors:
-        j = pcs.syndrome_to_col.get(vec_sub(sx, pcs.syndrome(y)))
-        if j is not None:
-            return DecodeResult(
-                codeword=vec_sub(x, y),
-                coset_index=j,
-                error_vector=y,
-                error_weight=w,
-            )
-    raise BeyondRadius(x, radius)
+        return _shell_first(pcs, rho, targets, lo, hi)
+    table = space.table(targets)
+    r = space.index(rho)
+    for w in range(lo, hi + 1):
+        if table.reaches(r, w):
+            return w, table.first(r, w)
+    return None
+
+
+def _shell_first(
+    pcs: ParityCheckSystem, rho: RingVec, targets: Sequence[RingVec], lo: int, hi: int
+) -> Optional[tuple[int, RingVec]]:
+    """_first by listing the weight shells of R^n."""
+    wanted = {vec_sub(rho, z) for z in targets}
+    for w, y in _shell_errors(pcs, hi):
+        if w >= lo and pcs.syndrome(y) in wanted:
+            return w, y
+    return None
 
 
 def _shell_errors(pcs: ParityCheckSystem, radius: int) -> Iterator[tuple[int, RingVec]]:

@@ -152,11 +152,6 @@ class HowellForm:
             coeffs.append(q)
         return tuple(coeffs), tuple(v)
 
-    def reduce(self, v) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """divide(v) when rest is zero in every pivot column, else None."""
-        coeffs, rest = self.divide(v)
-        return None if any(rest[c] for c in self.pivot_cols) else (coeffs, rest)
-
     def express(self, v) -> Optional[tuple[int, ...]]:
         """Coefficients c with c @ rows = v (mod t), or None if v is outside.
 

@@ -25,7 +25,6 @@ from . import rings
 from .howell import HowellForm
 from .reach import SyndromeSpace
 from .rings import (
-    RingElem,
     RingSpec,
     RingVec,
     dot,
@@ -357,53 +356,48 @@ def member(pcs: ParityCheckSystem, x: RingVec) -> Optional[int]:
 def kernel(pcs: ParityCheckSystem) -> Submodule:
     """The kernel of the code: {y : r y + c stays in the code for all r, c}.
 
-    Work happens on the finite syndrome side.  A syndrome sigma belongs to
-    the kernel of col(S) when r sigma + col(S) = col(S) for every scalar r.
-    The r = 1 case makes sigma a member of the additive stabiliser of
-    col(S), the column differences shared by every column.  That is a
-    group, and r sigma is an integer combination of the e_f sigma for the
-    factor idempotents e_f, so it is enough that every e_f sigma lies in
-    the stabiliser too.  Each surviving sigma is pulled back through one
-    solve, and those pullbacks together with D generate the kernel.
+    Work happens on the finite syndrome side: each kernel syndrome is
+    pulled back through one solve, and those pullbacks together with D
+    generate the kernel.
     """
-    spec = pcs.spec
-    cols = list(pcs.s_cols)
-    stabiliser = {vec_sub(c, cols[0]) for c in cols}
-    for base in cols[1:]:
-        stabiliser &= {vec_sub(c, base) for c in cols}
-    idempotents = _factor_idempotents(spec)
-    kernel_syndromes = [
-        sigma
-        for sigma in sorted(stabiliser, key=lambda v: v.coords)
-        if all(scale(e, sigma) in stabiliser for e in idempotents)
-    ]
     gens = list(pcs.kernel_module.canonical_generators())
-    for sigma in kernel_syndromes:
+    for sigma in _kernel_syndromes(pcs):
         x = pcs.preimage(sigma)
         if x is None:
             raise InternalInconsistency("kernel syndrome has no preimage")
         gens.append(x)
-    return Submodule.from_generators(spec, pcs.n, tuple(gens))
+    return Submodule.from_generators(pcs.spec, pcs.n, tuple(gens))
 
 
-def _factor_idempotents(spec: RingSpec) -> list[RingElem]:
-    """The e_f that are 1 in factor f and 0 in every other factor."""
-    k = spec.nfactors
-    return [spec.elem([int(g == f) for g in range(k)]) for f in range(k)]
+def _kernel_syndromes(pcs: ParityCheckSystem) -> list[RingVec]:
+    """The sigma with r sigma + col(S) = col(S) for every scalar r, sorted.
+
+    The r = 1 case makes sigma a member of the additive stabiliser of
+    col(S), the column differences shared by every column.  That is a
+    group, and r sigma is an integer combination of the e_f sigma for the
+    factor idempotents e_f (1 in factor f, 0 elsewhere), so it is enough
+    that every e_f sigma lies in the stabiliser too.
+    """
+    spec, cols = pcs.spec, pcs.s_cols
+    stabiliser = {vec_sub(c, cols[0]) for c in cols}
+    for base in cols[1:]:
+        stabiliser &= {vec_sub(c, base) for c in cols}
+    idempotents = [
+        spec.elem([int(g == f) for g in range(spec.nfactors)])
+        for f in range(spec.nfactors)
+    ]
+    return [
+        sigma
+        for sigma in sorted(stabiliser, key=lambda v: v.coords)
+        if all(scale(e, sigma) in stabiliser for e in idempotents)
+    ]
 
 
 def is_linear(pcs: ParityCheckSystem) -> bool:
-    """Whether the code is a submodule: col(S) closed under + and scalars.
+    """Whether the code is a submodule, i.e. col(S) is a submodule of R^m.
 
-    A finite set closed under + is a group, and r a is an integer
-    combination of the e_f a, so the factor idempotents stand in for all
-    scalars.
+    The kernel syndromes always form a submodule.  When col(S) is one,
+    every column stabilises it and every kernel syndrome sigma = sigma + 0
+    is a column, so the two sets are equal.
     """
-    cols = pcs.s_cols
-    colset = set(cols)
-    for a in cols:
-        for b in cols:
-            if vec_add(a, b) not in colset:
-                return False
-    idempotents = _factor_idempotents(pcs.spec)
-    return all(scale(e, a) in colset for e in idempotents for a in cols)
+    return set(_kernel_syndromes(pcs)) == set(pcs.s_cols)

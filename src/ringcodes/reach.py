@@ -28,7 +28,7 @@ class SyndromeSpace:
     """R^m indexed mixed-radix, with the gather arrays of H's column shifts.
 
     gathers[j][a, sigma] is the index of sigma - v_a*h_j, where v_a is the
-    a-th nonzero ring element in the order weight shells use.
+    a-th entry of spec.nonzero_residues(), the order of weight shells.
     """
 
     def __init__(self, spec: RingSpec, h_rows: Sequence[RingVec]):
@@ -36,7 +36,7 @@ class SyndromeSpace:
 
         self.spec = spec
         self.n = len(h_rows[0])
-        self.nonzero = [e.residues for e in spec.elements() if any(e.residues)]
+        self.nonzero = spec.nonzero_residues()
         radices = spec.factors * len(h_rows)
         self.size = math.prod(radices)
         self.strides = [math.prod(radices[a + 1:]) for a in range(len(radices))]

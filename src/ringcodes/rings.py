@@ -104,6 +104,14 @@ class RingSpec:
             for residues in product(*(range(t) for t in self.factors))
         ]
 
+    def nonzero_residues(self) -> list[tuple[int, ...]]:
+        """Residues of the nonzero elements in elements() order.
+
+        This is the order of the values inside a weight shell; zero comes
+        first in odometer order, so it is simply dropped.
+        """
+        return list(product(*(range(t) for t in self.factors)))[1:]
+
     def __str__(self) -> str:
         return "x".join(f"Z{t}" for t in self.factors)
 

@@ -191,7 +191,7 @@ def test_criterion_7_randomized_agreement():
                 for c in sorted(words, key=lambda v: v.coords):
                     for w in range(radius + 1):
                         for e in weight_shell(spec, n, w):
-                            res = decode(pcs, vec_add(c, e), min_dist=d)
+                            res = decode(pcs, vec_add(c, e))
                             assert res.codeword == c
                             assert res.error_vector == e
                             decode_checks += 1

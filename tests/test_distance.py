@@ -1,5 +1,6 @@
 """Minimum distance, syndrome differences, and bounded-distance decoding."""
 
+import inspect
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from ringcodes import (
     BudgetExceeded,
     CodePresentation,
     DegenerateCode,
+    ParityCheckSystem,
     Submodule,
     code_to_pcs,
     decode,
@@ -24,15 +26,23 @@ from ringcodes import (
     sdiff,
     validate_pcs,
     vec_add,
+    vec_neg,
     vec_sub,
     weight,
     weight_shell,
     zero_vec,
 )
 from ringcodes import distance
-from ringcodes.distance import DecodeResult, _shell_errors, _shell_witness
+from ringcodes.distance import DecodeResult, _shell_errors
 from ringcodes.reach import ReachTable, SyndromeSpace
 from conftest import Z6, random_instance, random_linear_instance, rv
+
+
+def shell_witness(pcs):
+    """min_distance_witness on the shell backend, the independent route."""
+    return distance._shell_first(
+        pcs, zero_vec(pcs.spec, pcs.m), [vec_neg(v) for v in sdiff(pcs)], 1, pcs.n
+    )
 
 
 def test_sdiff_golden(z6_pcs):
@@ -73,7 +83,7 @@ def test_min_distance_golden(z6_pcs):
     d, witness = min_distance_witness(z6_pcs)
     assert d == 2
     assert witness == rv(Z6, (1, 4, 0, 0))  # first hit in shell order
-    assert _shell_witness(z6_pcs) == (d, witness)
+    assert shell_witness(z6_pcs) == (d, witness)
     assert weight(witness) == 2
     assert z6_pcs.syndrome(witness) in sdiff(z6_pcs)
     assert min_distance(z6_pcs) == 2
@@ -141,11 +151,16 @@ def test_decode_corrects_single_errors():
     assert exc.value.radius == 1
 
 
-def test_decode_respects_min_dist_override():
-    pcs, spec = repetition_pcs("Z2", 4)
-    # an artificially small distance shrinks the radius to zero
-    with pytest.raises(BeyondRadius):
-        decode(pcs, rv(spec, (1, 1, 0, 1)), min_dist=1)
+def test_decode_has_no_distance_override():
+    assert list(inspect.signature(decode).parameters) == ["pcs", "x"]
+    # the Z2 even-weight code has d = 2: [1 0 0 0] is as close to
+    # [0 0 0 0] as to [1 0 0 1], [1 0 1 0] and [1 1 0 0], so it is refused
+    spec = parse_ring("Z2")
+    pcs = validate_pcs([rv(spec, (1, 1, 1, 1))], [rv(spec, (0,))])
+    assert min_distance(pcs) == 2
+    with pytest.raises(BeyondRadius) as exc:
+        decode(pcs, rv(spec, (1, 0, 0, 0)))
+    assert exc.value.radius == 0
 
 
 def test_decode_rejects_foreign_words(z6_pcs):
@@ -170,10 +185,10 @@ def test_decode_agrees_with_nearest_neighbor_everywhere():
         best, hits = oracle_nearest(code, x)
         if best > radius:
             with pytest.raises(BeyondRadius):
-                decode(pcs, x, min_dist=d)
+                decode(pcs, x)
             refused += 1
         else:
-            res = decode(pcs, x, min_dist=d)
+            res = decode(pcs, x)
             assert len(hits) == 1
             assert res.codeword == hits[0]
             assert res.error_weight == best == hamming(x, res.codeword)
@@ -197,7 +212,7 @@ def test_decode_agrees_with_nearest_neighbor_random():
             for w in range(radius + 1):
                 for e in weight_shell(pcs.spec, pcs.n, w):
                     x = vec_add(c, e)
-                    res = decode(pcs, x, min_dist=d)
+                    res = decode(pcs, x)
                     best, hits = oracle_nearest(code, x)
                     assert res.error_weight == best
                     assert res.codeword == hits[0] and len(hits) == 1
@@ -214,9 +229,9 @@ def test_witness_is_deterministic(z6_pcs):
 TABLE_RINGS = ["Z4", "Z6", "Z7", "Z11", "Z2xZ4", "Z3xZ4"]
 
 
-def decode_outcome(pcs, x, min_dist=None):
+def decode_outcome(pcs, x):
     try:
-        res = decode(pcs, x, min_dist)
+        res = decode(pcs, x)
     except BeyondRadius as exc:
         return ("beyond", exc.radius)
     return res
@@ -245,7 +260,7 @@ def test_table_route_matches_shell_search_random():
         if code.cardinality < 2 or pcs.syndrome_space() is None:
             continue  # too many rows in H: |R|^m outgrows the budget
         d, witness = min_distance_witness(pcs)
-        assert (d, witness) == _shell_witness(pcs)
+        assert (d, witness) == shell_witness(pcs)
         assert d == oracle_min_distance(code)
         seen.add((str(pcs.spec), i % 2))
         radius = (d - 1) // 2
@@ -261,17 +276,49 @@ def test_table_route_matches_shell_search_random():
     assert len(seen) == 2 * len(TABLE_RINGS) and beyond_seen >= 20
 
 
+def test_public_api_gives_the_same_answers_on_both_routes(monkeypatch):
+    # the same system twice: once on the tables, once with syndrome_space()
+    # reporting them too big, which sends the one search to the shell backend
+    rng = random.Random(7070)
+    seen = set()
+    beyond_seen = 0
+    for i in range(30):
+        if i % 2:
+            pcs = random_linear_instance(rng, rings=TABLE_RINGS, space_cap=2500)
+        else:
+            pcs = random_instance(rng, rings=TABLE_RINGS, space_cap=2500)[0]
+        if pcs.code_cardinality() < 2 or pcs.syndrome_space() is None:
+            continue
+        code = oracle_code_from_pcs(pcs)
+        radius = (min_distance(pcs) - 1) // 2
+        words = [
+            vec_add(c, e)
+            for c in sorted(code.words, key=lambda v: v.coords)[:2]
+            for w in range(min(radius + 1, pcs.n) + 1)
+            for e in weight_shell(pcs.spec, pcs.n, w)
+        ]
+        tables = [min_distance_witness(pcs)] + [decode_outcome(pcs, x) for x in words]
+        with monkeypatch.context() as patch:
+            patch.setattr(ParityCheckSystem, "syndrome_space", lambda self: None)
+            shells = validate_pcs(pcs.h_rows, pcs.s_rows)
+            got = [min_distance_witness(shells)] + [decode_outcome(shells, x) for x in words]
+        assert got == tables
+        seen.add(str(pcs.spec))
+        beyond_seen += got.count(("beyond", radius))
+    assert len(seen) == len(TABLE_RINGS) and beyond_seen >= 10
+
+
 def test_shell_search_above_the_table_budget():
     # code_to_pcs gives Z3xZ4 six rows of H: 12^6 syndromes outgrow the budget
     pcs, spec = repetition_pcs("Z3xZ4", 4)
     assert pcs.m == 6 and pcs.syndrome_space() is None
     assert min_distance_witness(pcs) == (4, rv(spec, ((0, 1),) * 4))
     assert min_distance(pcs) == oracle_min_distance(oracle_code_from_pcs(pcs))
-    res = decode(pcs, rv(spec, ((2, 3), (2, 3), (2, 3), (0, 3))), min_dist=4)
+    res = decode(pcs, rv(spec, ((2, 3), (2, 3), (2, 3), (0, 3))))
     assert res.codeword == rv(spec, ((2, 3),) * 4)
     assert res.error_vector == rv(spec, ((0, 0), (0, 0), (0, 0), (1, 0)))
     with pytest.raises(BeyondRadius):
-        decode(pcs, rv(spec, ((2, 3), (2, 3), (0, 3), (0, 3))), min_dist=4)
+        decode(pcs, rv(spec, ((2, 3), (2, 3), (0, 3), (0, 3))))
 
 
 def test_second_decode_reuses_the_table(monkeypatch):
@@ -300,8 +347,13 @@ def test_second_decode_reuses_the_table(monkeypatch):
 
 def test_second_decode_above_the_table_budget_searches_no_shells(monkeypatch):
     searches = []
-    real = distance._shell_witness
-    monkeypatch.setattr(distance, "_shell_witness", lambda pcs: searches.append(1) or real(pcs))
+    real = distance._shell_first
+
+    def counting(pcs, rho, targets, lo, hi):
+        searches.extend([1] if lo == 1 else [])  # lo = 1: a distance search
+        return real(pcs, rho, targets, lo, hi)
+
+    monkeypatch.setattr(distance, "_shell_first", counting)
     pcs, spec = repetition_pcs("Z3xZ4", 4)
     assert pcs.syndrome_space() is None
     first = decode(pcs, rv(spec, ((2, 3), (2, 3), (2, 3), (0, 3))))
@@ -323,9 +375,8 @@ def test_shell_search_beyond_the_state_budget_raises():
         min_distance_witness(pcs)
     assert (exc.value.needed, exc.value.budget) == (needed, DEFAULT_BUDGET)
     assert exc.value.what == "weight-shell search"
-    # a codeword is decoded in shell 0; any other word needs shell 1
-    codeword = rv(spec, [1, -1] + [0] * (n - 2))
-    assert decode(pcs, codeword, min_dist=3).error_weight == 0
-    with pytest.raises(BudgetExceeded) as exc:
-        decode(pcs, rv(spec, [1] + [0] * (n - 1)), min_dist=3)
-    assert exc.value.needed == needed
+    # decode needs the distance (2, from e1 - e2) first and stops at the same gate
+    for word in (rv(spec, [1, -1] + [0] * (n - 2)), rv(spec, [1] + [0] * (n - 1))):
+        with pytest.raises(BudgetExceeded) as exc:
+            decode(pcs, word)
+        assert (exc.value.needed, exc.value.what) == (needed, "weight-shell search")
