@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
-from .pcs import ParityCheckSystem
+from .pcs import ParityCheckSystem, _key, member
 from .rings import (
     RingSpec,
     RingVec,
@@ -59,6 +59,7 @@ class DecodeResult:
 def sdiff(pcs: ParityCheckSystem) -> tuple[RingVec, ...]:
     """Ordered-pair column differences (k < l) plus zero, sorted by coords."""
     cols = pcs.s_cols
+    check_budget(len(cols) * (len(cols) - 1) // 2, "column differences", "pairs")
     out = {zero_vec(pcs.spec, pcs.m)}
     for k in range(len(cols)):
         for l in range(k + 1, len(cols)):
@@ -115,17 +116,12 @@ def decode(pcs: ParityCheckSystem, x: RingVec) -> DecodeResult:
     if x.spec != pcs.spec or len(x) != pcs.n:
         raise ValueError("received word does not match the ambient space")
     radius = (min_distance(pcs) - 1) // 2
-    sx = pcs.syndrome(x)
-    found = _first(pcs, sx, pcs.s_cols, 0, radius)
+    found = _first(pcs, pcs.syndrome(x), pcs.s_cols, 0, radius)
     if found is None:
         raise BeyondRadius(x, radius)
     w, y = found
-    return DecodeResult(
-        codeword=vec_sub(x, y),
-        coset_index=pcs.syndrome_to_col[vec_sub(sx, pcs.syndrome(y))],
-        error_vector=y,
-        error_weight=w,
-    )
+    codeword = vec_sub(x, y)  # H x^T - H y^T is a column of S
+    return DecodeResult(codeword, member(pcs, codeword), y, w)
 
 
 def _first(
@@ -152,9 +148,9 @@ def _shell_first(
     pcs: ParityCheckSystem, rho: RingVec, targets: Sequence[RingVec], lo: int, hi: int
 ) -> Optional[tuple[int, RingVec]]:
     """_first by listing the weight shells of R^n."""
-    wanted = {vec_sub(rho, z) for z in targets}
+    wanted = {_key(vec_sub(rho, z)) for z in targets}
     for w, y in _shell_errors(pcs, hi):
-        if w >= lo and pcs.syndrome(y) in wanted:
+        if w >= lo and pcs._flat_syndrome(y) in wanted:
             return w, y
     return None
 

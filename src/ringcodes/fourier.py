@@ -226,9 +226,13 @@ def fourier_coeff_coset(pres: CodePresentation, x: RingVec) -> ExponentSum:
     integer dot product of x's flattened residues with the cached
     pres.character_rows[j].
     """
+    if x.spec != pres.spec or len(x) != pres.n:
+        raise ValueError("vector does not live in the ambient space")
     L = pres.spec.char_order
-    if not pres.dual_module().contains(x):
-        return ExponentSum.zero(L)
+    # x is in the dual of D when x . g = 0 for the Howell rows g of each factor
+    for hf, xs in zip(pres.kernel.forms, x.components()):
+        if any(sum(map(mul, g, xs)) % hf.modulus for g in hf.rows):
+            return ExponentSum.zero(L)
     flat = [*chain.from_iterable(x.coords)]
     # a loop, not a comprehension: on Python 3.11 the comprehension's own
     # frame costs more than the few appends
@@ -285,7 +289,6 @@ def poisson_sum(
     reflected = CodePresentation(
         pres.kernel, tuple(vec_neg(d) for d in pres.representatives)
     )
-    reflected._dual = dual  # same kernel, same annihilator
     acc = 0j
     for x in dual.enumerate():
         acc += f_hat(x) * fourier_coeff_coset(reflected, x).evaluate()

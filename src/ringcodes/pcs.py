@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
 
@@ -27,6 +28,7 @@ from .reach import SyndromeSpace
 from .rings import (
     RingSpec,
     RingVec,
+    check_budget,
     dot,
     scale,
     vec_add,
@@ -98,15 +100,13 @@ class ParityCheckSystem:
             if row.spec != self.spec or len(row) != self.s:
                 raise ValueError("ragged or mixed-ring S")
         # per-factor rows of H as plain integers, for syndromes
-        self._h_ints = tuple(
-            tuple(row.component(f) for row in self.h_rows)
-            for f in range(self.spec.nfactors)
-        )
+        self._h_ints = tuple(zip(*(row.components() for row in self.h_rows)))
         self.s_cols = tuple(
             RingVec(self.spec, tuple(r.coords[j] for r in self.s_rows))
             for j in range(self.s)
         )
-        self.syndrome_to_col = {col: j + 1 for j, col in enumerate(self.s_cols)}
+        # flat syndrome key -> 1-based column index, the whole of member()
+        self._col_index = {_key(col): j + 1 for j, col in enumerate(self.s_cols)}
         self._syndrome_space: Optional[SyndromeSpace] = None
         # (distance, witness), filled by distance.min_distance_witness
         self._distance: Optional[tuple[int, RingVec]] = None
@@ -129,14 +129,19 @@ class ParityCheckSystem:
             self._syndrome_space = SyndromeSpace(self.spec, self.h_rows)
         return self._syndrome_space
 
-    def syndrome(self, x: RingVec) -> RingVec:
+    def _flat_syndrome(self, x: RingVec) -> tuple[int, ...]:
+        """H x^T as the plain ints _key gives it: factor by factor, row by row."""
         if x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
-        parts = [
-            [sum(map(mul, row, xs)) % t for row in rows]
-            for rows, xs, t in zip(self._h_ints, x.components(), self.spec.factors)
-        ]
-        return RingVec(self.spec, tuple(zip(*parts)))
+        if self.spec.nfactors == 1:
+            xs, t = [c[0] for c in x.coords], self.spec.factors[0]
+            return tuple([sum(map(mul, row, xs)) % t for row in self._h_ints[0]])
+        parts = zip(self._h_ints, x.components(), self.spec.factors)
+        return tuple([sum(map(mul, row, xs)) % t for rows, xs, t in parts for row in rows])
+
+    def syndrome(self, x: RingVec) -> RingVec:
+        blocks = zip(*[iter(self._flat_syndrome(x))] * self.m)  # one per factor
+        return RingVec(self.spec, tuple(zip(*blocks)))
 
     @cached_property
     def ht_forms(self) -> tuple[HowellForm, ...]:
@@ -273,7 +278,6 @@ class CodePresentation:
         if clashes:
             i, j = min(clashes)
             raise ValueError(f"representatives {i + 1} and {j + 1} present the same coset")
-        self._dual: Optional[Submodule] = None
 
     @cached_property
     def character_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -296,10 +300,12 @@ class CodePresentation:
     def cardinality(self) -> int:
         return self.s * self.kernel.cardinality
 
+    @cached_property
+    def _dual(self) -> Submodule:
+        return self.kernel.annihilator()
+
     def dual_module(self) -> Submodule:
         """The annihilator of D, cached; its generators feed the H matrix."""
-        if self._dual is None:
-            self._dual = self.kernel.annihilator()
         return self._dual
 
     def __repr__(self) -> str:
@@ -348,9 +354,14 @@ def pcs_to_code(pcs: ParityCheckSystem) -> CodePresentation:
     return CodePresentation(pcs.kernel_module, tuple(reps))
 
 
+def _key(v: RingVec) -> tuple[int, ...]:
+    """A syndrome's residues as one flat int tuple, factor by factor."""
+    return tuple(chain.from_iterable(v.components()))
+
+
 def member(pcs: ParityCheckSystem, x: RingVec) -> Optional[int]:
     """1-based syndrome column index of x, or None when x is outside the code."""
-    return pcs.syndrome_to_col.get(pcs.syndrome(x))
+    return pcs._col_index.get(pcs._flat_syndrome(x))
 
 
 def kernel(pcs: ParityCheckSystem) -> Submodule:
@@ -379,6 +390,7 @@ def _kernel_syndromes(pcs: ParityCheckSystem) -> list[RingVec]:
     that every e_f sigma lies in the stabiliser too.
     """
     spec, cols = pcs.spec, pcs.s_cols
+    check_budget(pcs.s * (pcs.s - 1) // 2, "column differences", "pairs")
     stabiliser = {vec_sub(c, cols[0]) for c in cols}
     for base in cols[1:]:
         stabiliser &= {vec_sub(c, base) for c in cols}

@@ -20,11 +20,14 @@ from ringcodes import (
     ExplicitCode,
     Submodule,
     enumerate_vectors,
+    is_linear,
     min_distance_witness,
     oracle_kernel,
     oracle_min_distance,
+    parse_ring,
     pcs_enumerator_poly,
     poisson_sum,
+    validate_pcs,
 )
 from ringcodes.cli import COMMANDS
 from conftest import Z6, Z6_D_GENS, build_z6_pcs, build_z6_presentation, rv
@@ -36,12 +39,23 @@ def _small_code() -> ExplicitCode:
     return ExplicitCode(Z6, 2, frozenset(rv(Z6, (a, 0)) for a in range(6)))
 
 
+def _whole_z7():
+    """The whole of Z7 as 7 cosets of {0}: s = 7 columns, d = 1.
+
+    The column-difference gates (21 pairs) bind before the weight-shell
+    search, which needs only 1 + 6 states.
+    """
+    z7 = parse_ring("Z7")
+    return validate_pcs([rv(z7, (1,))], [rv(z7, range(7))])
+
+
 def _fourier_point():
     args = argparse.Namespace(all=False, vector="3,3,3,3")
     return COMMANDS["fourier"].fast(build_z6_pcs(), args)
 
 
-# stage -> (a call on a fresh small instance, what it needs, unit)
+# stage -> (a call on a fresh small instance, what it needs, unit); a note
+# in parentheses tells apart two callers of one stage
 STAGES = {
     # |Z6|^2
     "scan of R^2": (lambda: list(enumerate_vectors(Z6, 2)), 36, "states"),
@@ -67,12 +81,16 @@ STAGES = {
     "kernel scan": (lambda: oracle_kernel(_small_code()), 216, "states"),
     # one point times L = 6 dense counts
     "counts output": (_fourier_point, 6, "entries"),
+    # 7 columns, 7 * 6 / 2 pairs
+    "column differences (distance)": (lambda: min_distance_witness(_whole_z7()), 21, "pairs"),
+    "column differences (kernel)": (lambda: is_linear(_whole_z7()), 21, "pairs"),
 }
 
 
 @pytest.mark.parametrize("what", STAGES)
 def test_every_stage_meets_its_limit_exactly(what, monkeypatch):
     run, needed, unit = STAGES[what]
+    what = what.partition(" (")[0]
     monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", needed)
     run()
     monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", needed - 1)

@@ -239,9 +239,8 @@ def decode_outcome(pcs, x):
 
 def shell_decode_outcome(pcs, x, radius):
     """decode by listing the weight shells, the independent route."""
-    sx = pcs.syndrome(x)
     for w, y in _shell_errors(pcs, radius):
-        j = pcs.syndrome_to_col.get(vec_sub(sx, pcs.syndrome(y)))
+        j = member(pcs, vec_sub(x, y))
         if j is not None:
             return DecodeResult(vec_sub(x, y), j, y, w)
     return ("beyond", radius)
@@ -380,3 +379,97 @@ def test_shell_search_beyond_the_state_budget_raises():
         with pytest.raises(BudgetExceeded) as exc:
             decode(pcs, word)
         assert (exc.value.needed, exc.value.what) == (needed, "weight-shell search")
+
+
+def plain_syndrome(spec, h_rows, x):
+    """H x^T by the definition, entry by entry, as residue tuples."""
+    return tuple(
+        tuple(
+            sum(hc[f] * xc[f] for hc, xc in zip(h.coords, x.coords)) % t
+            for f, t in enumerate(spec.factors)
+        )
+        for h in h_rows
+    )
+
+
+def plain_member(pcs, x):
+    """member by the definition: the plain syndrome, then a scan of the columns."""
+    cols = [c.coords for c in pcs.s_cols]
+    syn = plain_syndrome(pcs.spec, pcs.h_rows, x)
+    return cols.index(syn) + 1 if syn in cols else None
+
+
+def _product_ring_systems():
+    rng = random.Random(5151)
+    out = []
+    while len(out) < 4:
+        pcs, _ = random_instance(rng, rings=["Z2xZ3", "Z2xZ4"], max_n=3, space_cap=512)
+        if pcs.code_cardinality() >= 2:
+            out.append(pcs)
+    return out
+
+
+def _large_prime_system():
+    """Z2147483629, H random 3 x 5, S the syndromes of three random words."""
+    spec = parse_ring("Z2147483629")
+    (t,) = spec.factors
+    rng = random.Random(2030)
+    h_rows = [rv(spec, [rng.randrange(t) for _ in range(5)]) for _ in range(3)]
+    reps = [rv(spec, [rng.randrange(t) for _ in range(5)]) for _ in range(3)]
+    cols = [plain_syndrome(spec, h_rows, d) for d in reps]
+    s_rows = [rv(spec, [col[i] for col in cols]) for i in range(3)]
+    return validate_pcs(h_rows, s_rows), reps, rng
+
+
+def test_per_vector_queries_match_a_plain_scan_on_product_rings():
+    from ringcodes import enumerate_vectors
+
+    decoded = refused = 0
+    for pcs in _product_ring_systems():
+        code = oracle_code_from_pcs(pcs)
+        radius = (oracle_min_distance(code) - 1) // 2
+        for x in enumerate_vectors(pcs.spec, pcs.n):
+            assert pcs.syndrome(x).coords == plain_syndrome(pcs.spec, pcs.h_rows, x)
+            assert member(pcs, x) == plain_member(pcs, x)
+            best, hits = oracle_nearest(code, x)
+            if best > radius:
+                with pytest.raises(BeyondRadius):
+                    decode(pcs, x)
+                refused += 1
+                continue
+            res = decode(pcs, x)
+            assert (res.codeword, res.error_weight) == (hits[0], best) and len(hits) == 1
+            assert res.coset_index == plain_member(pcs, res.codeword)
+            assert res.error_vector == vec_sub(x, res.codeword)
+            decoded += 1
+    assert decoded and refused
+
+
+def test_per_vector_queries_match_a_plain_scan_over_a_large_prime():
+    pcs, reps, rng = _large_prime_system()
+    (t,) = pcs.spec.factors
+    in_d = pcs.kernel_module.generators
+    words = reps + [vec_add(d, g) for d in reps for g in in_d]
+    words += [rv(pcs.spec, [rng.randrange(t) for _ in range(5)]) for _ in range(10)]
+    hits = 0
+    for x in words:
+        j = plain_member(pcs, x)
+        assert pcs.syndrome(x).coords == plain_syndrome(pcs.spec, pcs.h_rows, x)
+        assert member(pcs, x) == j
+        hits += j is not None
+    assert hits == 3 + 3 * len(in_d)
+    # a weight-1 shell holds 5 * (t - 1) words and the tables index t^3
+    # syndromes: decode fails with a typed error instead of guessing
+    with pytest.raises(BudgetExceeded):
+        decode(pcs, reps[0])
+
+
+def test_per_vector_queries_match_a_plain_scan_at_length_zero():
+    spec = parse_ring("Z2xZ3")
+    pcs = validate_pcs([rv(spec, ())] * 2, [rv(spec, [0])] * 2)
+    empty = rv(spec, ())
+    assert pcs.syndrome(empty).coords == plain_syndrome(spec, pcs.h_rows, empty) == ((0, 0),) * 2
+    assert member(pcs, empty) == plain_member(pcs, empty) == 1
+    # R^0 has one word, so the code has no distance and decode no radius
+    with pytest.raises(DegenerateCode):
+        decode(pcs, empty)

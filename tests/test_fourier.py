@@ -316,6 +316,45 @@ def test_fourier_routes_agree_on_chosen_representatives():
             assert fourier_coeff_pcs(pcs, x) == fourier_coeff_coset(pres, x)
 
 
+def test_coset_route_support_is_the_dual_module():
+    # the coset route tests x . g = 0 against D's Howell rows; the dual
+    # module's own membership test and the system route must agree with it
+    rng = random.Random(1207)
+    inside = outside = 0
+    for _ in range(20):
+        pcs, pres = random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)
+        dual = pres.dual_module()
+        points = list(dual.enumerate()) + [random_vec(rng, pcs.spec, pcs.n) for _ in range(15)]
+        for x in points:
+            es = fourier_coeff_coset(pres, x)
+            assert bool(es.terms) == dual.contains(x)
+            assert es == fourier_coeff_pcs(pcs, x)
+            inside += dual.contains(x)
+            outside += not dual.contains(x)
+    assert inside and outside
+
+
+def test_coset_route_never_builds_the_annihilator(z6_pcs, monkeypatch):
+    pres = pcs_to_code(z6_pcs)  # fresh: its dual module is not built yet
+
+    def refuse(self):
+        raise AssertionError("the coset route built an annihilator")
+
+    monkeypatch.setattr(Submodule, "annihilator", refuse)
+    for x, value in Z6_FOURIER_TABLE.items():
+        assert fourier_coeff_coset(pres, rv(Z6, x)).evaluate() == pytest.approx(value)
+    assert fourier_coeff_coset(pres, rv(Z6, (1, 0, 0, 0))).terms == ()
+
+
+@pytest.mark.parametrize(
+    "x", [zero_vec(Z6, 3), zero_vec(Z6, 5), zero_vec(parse_ring("Z2xZ3"), 4)]
+)
+def test_coset_route_refuses_a_foreign_vector(z6_pcs, x):
+    with pytest.raises(ValueError) as exc:
+        fourier_coeff_coset(pcs_to_code(z6_pcs), x)
+    assert str(exc.value) == "vector does not live in the ambient space"
+
+
 def test_evaluate_keeps_no_table_of_roots():
     spec = parse_ring("Z1009xZ997")
     L = spec.char_order

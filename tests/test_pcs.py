@@ -139,6 +139,16 @@ def test_syndrome_of_an_empty_word():
     assert pcs.syndrome(RingVec(spec, ())) == zero_vec(spec, 2)
 
 
+@pytest.mark.parametrize(
+    "x", [zero_vec(Z6, 3), zero_vec(Z6, 5), zero_vec(parse_ring("Z2xZ3"), 4)]
+)
+@pytest.mark.parametrize("query", [member, ParityCheckSystem.syndrome])
+def test_foreign_vectors_are_refused_with_one_message(z6_pcs, query, x):
+    with pytest.raises(ValueError) as exc:
+        query(z6_pcs, x)
+    assert str(exc.value) == "vector does not match the system's ambient space"
+
+
 def test_columns_are_pulled_back_through_one_cached_form(monkeypatch):
     built = []
     real = pcsmod.transpose_forms

@@ -50,6 +50,16 @@ def test_ring_spec_basics():
     assert parse_ring("Z4xZ6").char_order == 12
 
 
+def test_ring_spec_value_semantics():
+    a, b = RingSpec((2, 3)), parse_ring("Z2xZ3")
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash((a.factors,))
+    assert a != RingSpec((3, 2)) and a != RingSpec((6,))
+    assert RingSpec((6,)) != (6,) and not RingSpec((6,)) == (6,)
+    assert len({a, b, RingSpec((6,))}) == 2
+    assert repr(a) == "RingSpec(factors=(2, 3))"
+
+
 def test_elements_reduce_modulo_factors():
     spec = parse_ring("Z6")
     assert spec.elem(17).residues == (5,)
