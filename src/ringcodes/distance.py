@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
-from .pcs import ParityCheckSystem, _key, member
+from .pcs import ParityCheckSystem, member, syndrome_filter
 from .rings import (
     RingSpec,
     RingVec,
@@ -148,9 +148,9 @@ def _shell_first(
     pcs: ParityCheckSystem, rho: RingVec, targets: Sequence[RingVec], lo: int, hi: int
 ) -> Optional[tuple[int, RingVec]]:
     """_first by listing the weight shells of R^n."""
-    wanted = {_key(vec_sub(rho, z)) for z in targets}
+    hits = syndrome_filter(pcs, [vec_sub(rho, z) for z in targets])
     for w, y in _shell_errors(pcs, hi):
-        if w >= lo and pcs._flat_syndrome(y) in wanted:
+        if w >= lo and hits(y):
             return w, y
     return None
 

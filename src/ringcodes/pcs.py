@@ -20,7 +20,7 @@ import math
 from functools import cached_property
 from itertools import chain
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import rings
 from .howell import HowellForm
@@ -133,9 +133,6 @@ class ParityCheckSystem:
         """H x^T as the plain ints _key gives it: factor by factor, row by row."""
         if x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
-        if self.spec.nfactors == 1:
-            xs, t = [c[0] for c in x.coords], self.spec.factors[0]
-            return tuple([sum(map(mul, row, xs)) % t for row in self._h_ints[0]])
         parts = zip(self._h_ints, x.components(), self.spec.factors)
         return tuple([sum(map(mul, row, xs)) % t for rows, xs, t in parts for row in rows])
 
@@ -359,6 +356,14 @@ def _key(v: RingVec) -> tuple[int, ...]:
     return tuple(chain.from_iterable(v.components()))
 
 
+def syndrome_filter(
+    pcs: ParityCheckSystem, syndromes: Iterable[RingVec]
+) -> Callable[[RingVec], bool]:
+    """A test of whether H y^T is one of syndromes, on flat keys."""
+    keys = {_key(v) for v in syndromes}
+    return lambda y: pcs._flat_syndrome(y) in keys
+
+
 def member(pcs: ParityCheckSystem, x: RingVec) -> Optional[int]:
     """1-based syndrome column index of x, or None when x is outside the code."""
     return pcs._col_index.get(pcs._flat_syndrome(x))
@@ -390,7 +395,7 @@ def _kernel_syndromes(pcs: ParityCheckSystem) -> list[RingVec]:
     that every e_f sigma lies in the stabiliser too.
     """
     spec, cols = pcs.spec, pcs.s_cols
-    check_budget(pcs.s * (pcs.s - 1) // 2, "column differences", "pairs")
+    check_budget(pcs.s * pcs.s, "column differences", "pairs")
     stabiliser = {vec_sub(c, cols[0]) for c in cols}
     for base in cols[1:]:
         stabiliser &= {vec_sub(c, base) for c in cols}

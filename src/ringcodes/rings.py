@@ -59,14 +59,6 @@ class RingSpec:
             if t >= MAX_MODULUS:
                 raise ValueError(f"factor modulus {t} exceeds limit {MAX_MODULUS}")
 
-    # identity is the common case; @dataclass still derives __hash__ from factors
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
     @property
     def nfactors(self) -> int:
         return len(self.factors)

@@ -81,9 +81,10 @@ STAGES = {
     "kernel scan": (lambda: oracle_kernel(_small_code()), 216, "states"),
     # one point times L = 6 dense counts
     "counts output": (_fourier_point, 6, "entries"),
-    # 7 columns, 7 * 6 / 2 pairs
+    # 7 columns: 7 * 6 / 2 pairs k < l for sdiff, 7 * 7 ordered pairs for the
+    # kernel syndromes
     "column differences (distance)": (lambda: min_distance_witness(_whole_z7()), 21, "pairs"),
-    "column differences (kernel)": (lambda: is_linear(_whole_z7()), 21, "pairs"),
+    "column differences (kernel)": (lambda: is_linear(_whole_z7()), 49, "pairs"),
 }
 
 
