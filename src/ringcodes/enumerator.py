@@ -22,7 +22,6 @@ the primitive d-th roots of unity sum to mu(d) (a Ramanujan sum).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,26 +120,31 @@ def _weight_bins(pcs: ParityCheckSystem) -> list[int]:
 
     card = pcs.row_module.cardinality
     check_budget(card, "row span walk")
+    check_budget(card * pcs.s * pcs.s, "exponent pairs", "pairs")
     spec, n = pcs.spec, pcs.n
     L = spec.char_order
     # an exponent plus a term stays below 2^63 while L < 2^62
     dtype = np.int64 if L < 2**62 else object
-    pairs: Counter = Counter()  # (weight, gcd(e_l - e_j, L)) -> number of (h, j, l)
+    pairs: dict = {}  # gcd(e_l - e_j, L) -> number of (h, j, l) per weight
     for block in span_blocks(pcs.hs_forms):
         w = _weights(block, n)
         e = np.zeros((len(w), pcs.s), dtype=dtype)
         for part, cw in zip(block, spec.character_weights):
             e = (e + part[:, n:].astype(dtype) * cw) % L
-        weights = np.repeat(w, pcs.s).tolist()
         for j in range(pcs.s):
-            g = np.gcd(e - e[:, j : j + 1], L)
-            pairs.update(zip(weights, g.ravel().tolist()))
+            # index the gcds that occur, then count (index, weight) in one array
+            g, inv = np.unique(np.gcd(e - e[:, j : j + 1], L), return_inverse=True)
+            keys = (inv.reshape(e.shape) * (n + 1) + w[:, None]).ravel()
+            counts = np.bincount(keys, minlength=len(g) * (n + 1))
+            for gk, row in zip(g.tolist(), counts.reshape(len(g), n + 1)):
+                pairs[gk] = pairs.get(gk, 0) + row
     primes = sorted({p for t in spec.factors for p in _prime_divisors(t)})
     _, phi_L = _mobius_phi(L, primes)
     sums = [0] * (n + 1)
-    for (wk, g), count in pairs.items():
+    for g, row in pairs.items():
         mu, phi = _mobius_phi(L // g, primes)
-        sums[wk] += count * mu * (phi_L // phi)
+        for wk, count in enumerate(row.tolist()):
+            sums[wk] += count * mu * (phi_L // phi)
     c = spec.cardinality**n // card
     return [c * c * v for v in _divide_exact(sums, phi_L)]
 

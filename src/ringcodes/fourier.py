@@ -249,13 +249,13 @@ def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
     (|R|^n / |row span|) * sum_j zeta^(-eps(S_x(j))).
     """
     L = pcs.spec.char_order
-    s_x = pcs.s_row(x)
-    if s_x is None:
+    qs = pcs._quotients(x)
+    if qs is None:
         return ExponentSum.zero(L)
-    weights = pcs.spec.character_weights
+    # eps(S_x(j)) = sum q_i * (L / t_f) * (S part)_i[j], without forming S_x
     exps = []
-    for residues in s_x.coords:
-        exps.append(-sum(map(mul, residues, weights)) % L)
+    for col in pcs._exponent_cols:
+        exps.append(-sum(map(mul, qs, col)) % L)
     return ExponentSum._runs(L, exps, pcs.kernel_cardinality)
 
 

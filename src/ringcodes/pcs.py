@@ -177,21 +177,54 @@ class ParityCheckSystem:
             raise InternalInconsistency("a pivot of [H | S] lies in S")
         return forms
 
+    @cached_property
+    def _exponent_cols(self) -> tuple[tuple[int, ...], ...]:
+        """Per column j of S: (L / t_f) * S part[j] of each row of hs_forms, in order."""
+        n, weights = self.n, self.spec.character_weights
+        rows = [(w, row[n:]) for w, hf in zip(weights, self.hs_forms) for row in hf.rows]
+        return tuple(tuple(w * part[j] for w, part in rows) for j in range(self.s))
+
+    @cached_property
+    def _h_tails(self) -> tuple[tuple[int, tuple], ...]:
+        """Per factor of hs_forms: its modulus and, per Howell row, the pivot
+        column, the pivot and the H part from the pivot on."""
+        n = self.n
+        return tuple(
+            (hf.modulus, tuple((c, row[c], row[c:n]) for row, c in zip(hf.rows, hf.pivot_cols)))
+            for hf in self.hs_forms
+        )
+
+    def _quotients(self, x: RingVec) -> Optional[list[int]]:
+        """The greedy quotients of [x | 0] by hs_forms, factor after factor, or None
+        outside the row span.  Every pivot lies in the H part, so dividing that
+        part alone gives them; entries are reduced mod t only where read."""
+        if x.spec != self.spec or len(x) != self.n:
+            raise ValueError("vector does not match the system's ambient space")
+        qs = []
+        for (t, rows), v in zip(self._h_tails, x.components()):
+            v = list(v)
+            for col, p, tail in rows:
+                q = v[col] % t // p
+                if q:
+                    for i, b in enumerate(tail, col):
+                        v[i] -= q * b
+                qs.append(q)
+            if any(a % t for a in v):
+                return None
+        return qs
+
     def s_row(self, x: RingVec) -> Optional[RingVec]:
         """S_x, paired with x in the span of [H | S], or None outside the row span.
 
-        Greedily dividing [x | 0] by hs_forms clears the H part exactly when
-        x is in the row span, and leaves -S_x in the S part.
+        S_x = sum q_i (S part)_i mod t over the greedy quotients of [x | 0].
         """
-        if x.spec != self.spec or len(x) != self.n:
-            raise ValueError("vector does not match the system's ambient space")
-        parts = []
-        for hf, xs in zip(self.hs_forms, x.components()):
-            rest = hf.divide(xs + (0,) * self.s)[1]
-            if any(rest[: self.n]):
-                return None
-            t = hf.modulus
-            parts.append([-a % t for a in rest[self.n :]])
+        qs = self._quotients(x)
+        if qs is None:
+            return None
+        parts, it = [], iter(qs)
+        for hf in self.hs_forms:
+            rows = [(q, row[self.n :]) for row, q in zip(hf.rows, it)]
+            parts.append([sum(q * part[j] for q, part in rows) % hf.modulus for j in range(self.s)])
         return RingVec(self.spec, tuple(zip(*parts)))
 
     def code_cardinality(self) -> int:

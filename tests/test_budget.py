@@ -30,7 +30,7 @@ from ringcodes import (
     validate_pcs,
 )
 from ringcodes.cli import COMMANDS
-from conftest import Z6, Z6_D_GENS, build_z6_pcs, build_z6_presentation, rv
+from conftest import Z6, Z6_D_GENS, Z6_H, build_z6_pcs, build_z6_presentation, rv
 
 SRC = Path(ringcodes.__file__).resolve().parent
 
@@ -49,6 +49,11 @@ def _whole_z7():
     return validate_pcs([rv(z7, (1,))], [rv(z7, range(7))])
 
 
+def _z6_one_column():
+    """The Z6 check matrix with a single zero syndrome column."""
+    return validate_pcs([rv(Z6, r) for r in Z6_H], [rv(Z6, (0,)), rv(Z6, (0,))])
+
+
 def _fourier_point():
     args = argparse.Namespace(all=False, vector="3,3,3,3")
     return COMMANDS["fourier"].fast(build_z6_pcs(), args)
@@ -65,8 +70,10 @@ STAGES = {
         72,
         "states",
     ),
-    # the row span of the Z6 H
-    "row span walk": (lambda: pcs_enumerator_poly(build_z6_pcs()), 18, "states"),
+    # the row span of the Z6 H; with s = 1 the pairs gate needs as many
+    "row span walk": (lambda: pcs_enumerator_poly(_z6_one_column()), 18, "states"),
+    # the 18 points of the Z6 row span times s^2 = 9 column pairs
+    "exponent pairs": (lambda: pcs_enumerator_poly(build_z6_pcs()), 162, "pairs"),
     # shells 0..2 of Z6^4 (d = 2): 1 + 4*5 + 6*25; the tables need 4680 bytes
     "weight-shell search": (lambda: min_distance_witness(build_z6_pcs()), 171, "states"),
     # |dual| * |Z6|^4 = 18 * 1296

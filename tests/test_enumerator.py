@@ -1,5 +1,6 @@
 """System polynomial, distance distribution, MacWilliams cross-checks."""
 
+import math
 import random
 import tracemalloc
 
@@ -204,11 +205,14 @@ def test_blocked_span_walk_matches_one_block(monkeypatch, z6_pcs):
 
 
 def test_enumerators_honour_the_budget(z6_pcs, monkeypatch):
-    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 17)
-    for fn in (pcs_enumerator_poly, distance_distribution):
-        with pytest.raises(BudgetExceeded):
-            fn(z6_pcs)
-    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 18)
+    # 18 points in the row span, 18 * 3 * 3 exponent pairs
+    for budget, what in [(17, "row span walk"), (161, "exponent pairs")]:
+        monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", budget)
+        for fn in (pcs_enumerator_poly, distance_distribution):
+            with pytest.raises(BudgetExceeded) as exc:
+                fn(z6_pcs)
+            assert exc.value.what == what
+    monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 162)
     assert distance_distribution(z6_pcs).coeffs == Z6_DISTANCE_DISTRIBUTION
 
 
@@ -260,4 +264,23 @@ def test_character_order_above_int64_range():
     assert pcs_enumerator_poly(pcs_big).coeffs == tuple(scale * c for c in want)
     assert distance_distribution(pcs_small).coeffs == tuple(
         oracle_distance_distribution(oracle_code_from_pcs(pcs_small))
+    )
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        "Z2147483647xZ2147483629",  # L < 2^62 <= 3 L: the int64 path at its edge
+        "Z2097152xZ1594323xZ1953125",  # L >= 2^62: the object path
+    ],
+)
+def test_enumerator_exact_at_the_int64_edge(ring):
+    # a zero H row spans {0} and admits the one zero column, so N_0 = |R|^(2n)
+    spec = parse_ring(ring)
+    L = spec.char_order
+    assert (L < 2**62 <= 3 * L) if spec.nfactors == 2 else L >= 2**62
+    pcs = validate_pcs([zero_vec(spec, 3)], [zero_vec(spec, 1)])
+    assert pcs_enumerator_poly(pcs).coeffs == (spec.cardinality**6, 0, 0, 0)
+    assert distance_distribution(pcs).coeffs == tuple(
+        math.comb(3, i) * (spec.cardinality - 1) ** i * spec.cardinality**3 for i in range(4)
     )

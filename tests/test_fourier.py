@@ -10,6 +10,8 @@ from ringcodes import (
     BudgetExceeded,
     CodePresentation,
     ExponentSum,
+    ParityCheckSystem,
+    RingVec,
     Submodule,
     character_exponent,
     code_to_pcs,
@@ -29,6 +31,7 @@ from ringcodes import (
     weight,
     zero_vec,
 )
+from ringcodes.howell import HowellForm
 from conftest import (
     OUTSIDE_RINGS,
     PROPERTY_RINGS,
@@ -374,6 +377,77 @@ def test_evaluate_keeps_no_table_of_roots():
     root = [cmath.exp(2j * cmath.pi * k / L) for k in (0, 5, L - 1)]
     assert value == 3 * root[0] - 2 * root[1] + 7 * root[2]
     assert chi == cmath.exp(2j * cmath.pi * eps.exponent(a) / L)
+
+
+def _divided_s_row(pcs, x):
+    """S_x the plain way: divide all of [x | 0] by hs_forms, negate the S part."""
+    parts = []
+    for hf, xs in zip(pcs.hs_forms, x.components()):
+        rest = hf.divide(xs + (0,) * pcs.s)[1]
+        if any(rest[: pcs.n]):
+            return None
+        parts.append([-a % hf.modulus for a in rest[pcs.n :]])
+    return RingVec(pcs.spec, tuple(zip(*parts)))
+
+
+def _divided_coeff(pcs, x):
+    L = pcs.spec.char_order
+    s_x = _divided_s_row(pcs, x)
+    es = ExponentSum.zero(L)
+    for a in s_x.coords if s_x is not None else ():
+        e = generating_character(pcs.spec).exponent(pcs.spec.elem(a))
+        es = es + ExponentSum.root(L, -e, pcs.kernel_cardinality)
+    return es
+
+
+def _large_system(ring, seed):
+    """H random with m = 2, n = 3, and S_j = H d_j for s = 3 random d_j."""
+    rng, spec = random.Random(seed), parse_ring(ring)
+    h = [random_vec(rng, spec, 3) for _ in range(2)]
+    reps = [random_vec(rng, spec, 3) for _ in range(3)]
+    return validate_pcs(h, [RingVec.of(spec, [dot(r, d) for d in reps]) for r in h])
+
+
+def test_s_row_and_system_route_match_full_width_division():
+    rng = random.Random(5150)
+    systems = [random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)[0]
+               for _ in range(30)]
+    zero_h = [validate_pcs([zero_vec(spec, 3)], [zero_vec(spec, 1)])
+              for spec in map(parse_ring, ["Z6", "Z3xZ4", "Z2147483629"])]
+    assert all(not hf.rows for pcs in zero_h for hf in pcs.hs_forms)
+    large = [_large_system(ring, seed) for ring in ["Z2147483629", "Z65521xZ65519"] for seed in (1, 2)]
+    inside = outside = 0
+    for pcs in systems + zero_h + large:
+        points = [random_vec(rng, pcs.spec, pcs.n) for _ in range(10)]
+        # row combinations r H lie in the row span, whatever its size
+        for _ in range(10):
+            x = zero_vec(pcs.spec, pcs.n)
+            for h in pcs.h_rows:
+                x = vec_add(x, scale(pcs.spec.elem([rng.randrange(t) for t in pcs.spec.factors]), h))
+            points.append(x)
+        for x in points:
+            want = _divided_s_row(pcs, x)
+            assert pcs.s_row(x) == want
+            es = fourier_coeff_pcs(pcs, x)
+            ref = _divided_coeff(pcs, x)
+            assert (es.order, es.terms) == (ref.order, ref.terms)
+            inside += want is not None
+            outside += want is None
+    assert inside and outside
+
+
+def test_system_route_never_divides_or_reads_the_coset_side(z6_pcs, monkeypatch):
+    z6_pcs.hs_forms  # built before the patches; the route itself divides nothing
+
+    def refuse(*args):
+        raise AssertionError("the system route left hs_forms")
+
+    monkeypatch.setattr(HowellForm, "divide", refuse)
+    for name in ("kernel_module", "ht_forms", "preimage"):
+        monkeypatch.setattr(ParityCheckSystem, name, property(refuse))
+    for x, value in Z6_FOURIER_TABLE.items():
+        assert fourier_coeff_pcs(z6_pcs, rv(Z6, x)).evaluate() == pytest.approx(value, abs=1e-9)
+    assert fourier_coeff_pcs(z6_pcs, rv(Z6, (1, 0, 0, 0))).terms == ()
 
 
 def test_fourier_coset_route_with_independent_presentation(z6_pres, z6_pcs):
