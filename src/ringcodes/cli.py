@@ -32,7 +32,7 @@ from .formats import (
     serialize_code,
     serialize_pcs,
 )
-from .fourier import fourier_coeff_pcs
+from .fourier import _coeff_pcs
 from .oracle import (
     ExplicitCode,
     oracle_code_from_pcs,
@@ -193,8 +193,9 @@ def _fourier_entry(pcs, x, code: Optional[ExplicitCode]) -> dict:
     if code is not None:
         v, entry = oracle_fourier(code, x), {}
     else:
-        es = fourier_coeff_pcs(pcs, x)
-        v, s_x = es.evaluate(), pcs.s_row(x)
+        qs = pcs._quotients(x)  # one division feeds both the coefficient and S_x
+        es, s_x = _coeff_pcs(pcs, qs), pcs._s_row(qs)
+        v = es.evaluate()
         entry = {"counts": list(es.counts), "order": es.order,
                  "s_x": _vec_json(s_x) if s_x is not None else None}
     return {"x": _vec_json(x), "re": round(v.real, 12) + 0.0,

@@ -20,7 +20,6 @@ The distance is cached on the system either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .pcs import ParityCheckSystem, member, syndrome_filter
 from .rings import (
     RingSpec,
     RingVec,
+    Value,
     check_budget,
     vec_neg,
     vec_sub,
@@ -48,12 +48,15 @@ class BeyondRadius(Exception):
         super().__init__(f"no codeword within radius {radius} of {received}")
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    codeword: RingVec
-    coset_index: int
-    error_vector: RingVec
-    error_weight: int
+class DecodeResult(Value):
+    __slots__ = __match_args__ = ("codeword", "coset_index", "error_vector", "error_weight")
+
+    def __init__(self, codeword: RingVec, coset_index: int, error_vector: RingVec,
+                 error_weight: int):
+        self.codeword = codeword
+        self.coset_index = coset_index
+        self.error_vector = error_vector
+        self.error_weight = error_weight
 
 
 def sdiff(pcs: ParityCheckSystem) -> tuple[RingVec, ...]:

@@ -22,12 +22,11 @@ the primitive d-th roots of unity sum to mu(d) (a Ramanujan sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .howell import span_blocks
 from .pcs import ParityCheckSystem, is_linear, pcs_to_code
-from .rings import check_budget
+from .rings import Value, check_budget
 from .submodules import Submodule
 
 
@@ -43,16 +42,16 @@ class NonIntegerCoefficient(Exception):
         )
 
 
-@dataclass(frozen=True)
-class EnumeratorPoly:
+class EnumeratorPoly(Value):
     """Homogeneous two-variable polynomial; coefficient i sits on x^(n-i) y^i."""
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = __match_args__ = ("n", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n + 1:
+    def __init__(self, n: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != n + 1:
             raise ValueError("need exactly n + 1 coefficients")
+        self.n = n
+        self.coeffs = coeffs
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i]

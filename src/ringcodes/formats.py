@@ -31,11 +31,10 @@ tuples like (1,2) otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .pcs import CodePresentation, ParityCheckSystem, code_to_pcs, validate_pcs
-from .rings import RingElem, RingSpec, RingVec, parse_ring, zero_vec
+from .rings import RingElem, RingSpec, RingVec, Value, parse_ring, zero_vec
 from .submodules import Submodule
 
 
@@ -54,16 +53,21 @@ class ParseError(Exception):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    """Parsed contents of one problem file."""
+class ProblemFile(Value):
+    """Parsed contents of one problem file; mode is 'pcs' or 'code'."""
 
-    spec: RingSpec
-    mode: str  # 'pcs' or 'code'
-    h_rows: tuple[RingVec, ...] = ()
-    s_rows: tuple[RingVec, ...] = ()
-    generators: tuple[RingVec, ...] = ()
-    representatives: tuple[RingVec, ...] = ()
+    __slots__ = __match_args__ = ("spec", "mode", "h_rows", "s_rows", "generators",
+                                  "representatives")
+
+    def __init__(self, spec: RingSpec, mode: str, h_rows: tuple[RingVec, ...] = (),
+                 s_rows: tuple[RingVec, ...] = (), generators: tuple[RingVec, ...] = (),
+                 representatives: tuple[RingVec, ...] = ()):
+        self.spec = spec
+        self.mode = mode
+        self.h_rows = h_rows
+        self.s_rows = s_rows
+        self.generators = generators
+        self.representatives = representatives
 
 
 _TOKEN_RE = re.compile(r"\(\s*-?\d+(?:\s*,\s*-?\d+)*\s*\)|-?\d+|\||\S")

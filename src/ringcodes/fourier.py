@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import eq, index, mul
 from typing import Callable, Optional
@@ -30,6 +29,7 @@ from .rings import (
     RingElem,
     RingSpec,
     RingVec,
+    Value,
     check_budget,
     dot,
     enumerate_vectors,
@@ -78,8 +78,7 @@ class _Counts(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-@dataclass(frozen=True, init=False)
-class ExponentSum:
+class ExponentSum(Value):
     """An integer combination of the L-th roots of unity.
 
     terms holds the pairs (k, c) with c != 0, sorted by k, of the sum
@@ -92,20 +91,19 @@ class ExponentSum:
     numeric equality.
     """
 
-    order: int
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("order", "terms")
 
     def __init__(self, order: int, counts: Sequence[int]):
         if len(counts) != order:
             raise ValueError("need exactly one count per root")
-        self.__dict__.update(order=order, terms=tuple((k, c) for k, c in enumerate(counts) if c))
+        self.order = order
+        self.terms = tuple((k, c) for k, c in enumerate(counts) if c)
 
     @classmethod
     def _of(cls, order: int, terms: tuple[tuple[int, int], ...]) -> "ExponentSum":
         es = object.__new__(cls)
-        fields = es.__dict__  # frozen: fill the fields without __setattr__
-        fields["order"] = order
-        fields["terms"] = terms
+        es.order = order
+        es.terms = terms
         return es
 
     @classmethod
@@ -248,8 +246,12 @@ def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
     Supported exactly on the row span of H, where it equals
     (|R|^n / |row span|) * sum_j zeta^(-eps(S_x(j))).
     """
+    return _coeff_pcs(pcs, pcs._quotients(x))
+
+
+def _coeff_pcs(pcs: ParityCheckSystem, qs: Optional[list[int]]) -> ExponentSum:
+    """The system-side coefficient from the quotients pcs._quotients(x) returns."""
     L = pcs.spec.char_order
-    qs = pcs._quotients(x)
     if qs is None:
         return ExponentSum.zero(L)
     # eps(S_x(j)) = sum q_i * (L / t_f) * (S part)_i[j], without forming S_x

@@ -19,9 +19,10 @@ factor at a time by the callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+
+from .rings import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,8 +94,7 @@ def _array(rows: Rows, ncols: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
 
 
-@dataclass
-class HowellForm:
+class HowellForm(Value):
     """Canonical presentation of the row span of a matrix over Z_t.
 
     rows            k rows of length n, the nonzero Howell rows (k may be 0)
@@ -103,16 +103,22 @@ class HowellForm:
     kernel_rows     rows of length m generating {c in Z_t^m : c @ source = 0}
 
     matrix, transform and kernel are the same three as int64 arrays, built
-    on first access.
+    on first access, so a form has a __dict__; it is not hashable.
     """
 
-    modulus: int
-    ncols: int
-    source_rows: int
-    rows: Rows
-    pivot_cols: tuple[int, ...]
-    transform_rows: Rows
-    kernel_rows: Rows
+    __match_args__ = ("modulus", "ncols", "source_rows", "rows", "pivot_cols",
+                      "transform_rows", "kernel_rows")
+    __hash__ = None
+
+    def __init__(self, modulus: int, ncols: int, source_rows: int, rows: Rows,
+                 pivot_cols: tuple[int, ...], transform_rows: Rows, kernel_rows: Rows):
+        self.modulus = modulus
+        self.ncols = ncols
+        self.source_rows = source_rows
+        self.rows = rows
+        self.pivot_cols = pivot_cols
+        self.transform_rows = transform_rows
+        self.kernel_rows = kernel_rows
 
     matrix = cached_property(lambda self: _array(self.rows, self.ncols))
     transform = cached_property(lambda self: _array(self.transform_rows, self.source_rows))

@@ -8,13 +8,13 @@ the main routines is meaningful evidence.  All scans are budget-gated.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .pcs import ParityCheckSystem
 from .rings import (
     RingSpec,
     RingVec,
+    Value,
     check_budget,
     dot,
     enumerate_vectors,
@@ -25,17 +25,17 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class ExplicitCode:
+class ExplicitCode(Value):
     """A code as a plain set of words."""
 
-    spec: RingSpec
-    n: int
-    words: frozenset[RingVec]
+    __slots__ = __match_args__ = ("spec", "n", "words")
 
-    def __post_init__(self):
-        if not self.words:
+    def __init__(self, spec: RingSpec, n: int, words: frozenset[RingVec]):
+        if not words:
             raise ValueError("a code must be nonempty")
+        self.spec = spec
+        self.n = n
+        self.words = words
 
     @property
     def cardinality(self) -> int:

@@ -218,7 +218,10 @@ class ParityCheckSystem:
 
         S_x = sum q_i (S part)_i mod t over the greedy quotients of [x | 0].
         """
-        qs = self._quotients(x)
+        return self._s_row(self._quotients(x))
+
+    def _s_row(self, qs: Optional[list[int]]) -> Optional[RingVec]:
+        """S_x from the quotients _quotients(x) returns (None gives None)."""
         if qs is None:
             return None
         parts, it = [], iter(qs)

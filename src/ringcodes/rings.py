@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -44,20 +42,62 @@ def check_budget(needed: int, what: str, unit: str = "states") -> None:
         raise BudgetExceeded(needed, DEFAULT_BUDGET, what, unit)
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """The ring Z_t1 x ... x Z_tk given by its tuple of factor moduli."""
+class Value:
+    """Equality, hash and repr over the fields named in __match_args__: equal
+    only to the same class with equal fields (NotImplemented for any other
+    class), hashed as the field tuple, shown as Name(field=value, ...).
+    Immutable by convention: nothing assigns to a field after __init__.
+    """
 
-    factors: tuple[int, ...]
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init_subclass__(cls) -> None:
+        get = operator.attrgetter(*cls.__match_args__)  # one name gives the bare value
+        cls._astuple = staticmethod(get if len(cls.__match_args__) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({args})"
+
+
+class RingSpec(Value):
+    """The ring Z_t1 x ... x Z_tk given by its tuple of factor moduli.
+
+    char_order is L, the lcm of the moduli (the additive exponent), and
+    character_weights holds L / t_f per factor (the generating character).
+    """
+
+    __match_args__ = ("factors",)
+    __slots__ = ("factors", "char_order", "character_weights")
+
+    def __init__(self, factors: tuple[int, ...]):
+        if not factors:
             raise ValueError("a ring needs at least one factor")
-        for t in self.factors:
+        for t in factors:
             if not isinstance(t, int) or t < 2:
                 raise ValueError(f"factor moduli must be integers >= 2, got {t!r}")
             if t >= MAX_MODULUS:
                 raise ValueError(f"factor modulus {t} exceeds limit {MAX_MODULUS}")
+        self.factors = factors
+        self.char_order = L = math.lcm(*factors)
+        self.character_weights = tuple(L // t for t in factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not RingSpec:
+            return NotImplemented
+        return self is other or self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @property
     def nfactors(self) -> int:
@@ -66,16 +106,6 @@ class RingSpec:
     @property
     def cardinality(self) -> int:
         return math.prod(self.factors)
-
-    @cached_property
-    def char_order(self) -> int:
-        """Least common multiple of the factor moduli (the additive exponent)."""
-        return math.lcm(*self.factors)
-
-    @cached_property
-    def character_weights(self) -> tuple[int, ...]:
-        """L / t_f per factor, the weights of the generating character."""
-        return tuple(self.char_order // t for t in self.factors)
 
     def zero(self) -> "RingElem":
         return RingElem(self, (0,) * len(self.factors))
@@ -131,12 +161,14 @@ def parse_ring(text: str) -> RingSpec:
     return RingSpec(tuple(factors))
 
 
-@dataclass(frozen=True)
-class RingElem:
+class RingElem(Value):
     """One element of a RingSpec ring, stored as reduced residues."""
 
-    spec: RingSpec
-    residues: tuple[int, ...]
+    __slots__ = __match_args__ = ("spec", "residues")
+
+    def __init__(self, spec: RingSpec, residues: tuple[int, ...]):
+        self.spec = spec
+        self.residues = residues
 
     def _combine(self, other: "RingElem", op) -> "RingElem":
         """op residue by residue, reduced mod each factor."""
@@ -169,12 +201,22 @@ class RingElem:
         return "(" + ",".join(str(a) for a in self.residues) + ")"
 
 
-@dataclass(frozen=True)
-class RingVec:
+class RingVec(Value):
     """A vector over a RingSpec ring; coords[i] is coordinate i's residue tuple."""
 
-    spec: RingSpec
-    coords: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("spec", "coords")
+
+    def __init__(self, spec: RingSpec, coords: tuple[tuple[int, ...], ...]):
+        self.spec = spec
+        self.coords = coords
+
+    def __eq__(self, other):
+        if other.__class__ is not RingVec:
+            return NotImplemented
+        return self.coords == other.coords and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.coords))
 
     @classmethod
     def of(cls, spec: RingSpec, items: Iterable) -> "RingVec":

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ringcodes import Submodule
-from ringcodes.cli import main
+from ringcodes import ParityCheckSystem, Submodule
+from ringcodes.cli import _vec_json, main
 
 PCS_TEXT = "Z6\npcs\n1 1 3 5 | 0 1 5\n0 4 2 2 | 0 2 4\n"
 CODE_TEXT = "Z6\ncode\n2 1 1 0\n0 1 0 1\n3 0 3 0\n\n0 0 0 0\n5 2 0 0\n4 1 0 0\n"
@@ -273,6 +273,20 @@ def test_fourier_all(files, capsys):
     assert len(payload["values"]) == 18
 
 
+def test_fourier_all_divides_each_point_once(files, capsys, monkeypatch):
+    divided = []
+    quotients = ParityCheckSystem._quotients
+
+    def counting(self, x):
+        divided.append(_vec_json(x))
+        return quotients(self, x)
+
+    monkeypatch.setattr(ParityCheckSystem, "_quotients", counting)
+    code, payload, _ = run_json(capsys, "fourier", files["pcs"], "--all", "--json")
+    assert code == 0 and len(payload["values"]) == 18
+    assert divided == [entry["x"] for entry in payload["values"]]
+
+
 def test_fourier_needs_a_point_or_all(files, capsys):
     code, _, err = run(capsys, "fourier", files["pcs"])
     assert code == 3
@@ -351,29 +365,18 @@ def test_module_invocation_runs(files):
 
 
 def test_validate_and_to_code_leave_numpy_unloaded(tmp_path):
-    """Importing the package and the per-system paths never import numpy."""
+    """Importing the package loads only what is used, and the per-system
+    paths never import numpy or dataclasses (see lazy_import_check.py)."""
     path = tmp_path / "z6.pcs"
     path.write_text(PCS_TEXT)
-    script = (
-        "import sys\n"
-        "import ringcodes as rc\n"
-        "from ringcodes import cli, formats\n"
-        f"assert cli.main(['validate', {str(path)!r}, '--json']) == 0\n"
-        f"pcs = formats.as_system(formats.parse_problem(open({str(path)!r}).read()))\n"
-        "pres = rc.pcs_to_code(pcs)\n"
-        "assert pres.cardinality == 216\n"
-        "assert rc.code_to_pcs(pres).s == 3\n"
-        "assert rc.kernel(pcs).cardinality and not rc.is_linear(pcs)\n"
-        "assert rc.fourier_coeff_pcs(pcs, pcs.h_rows[0]) is not None\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"),
                     env.get("PYTHONPATH")) if p
     )
+    script = Path(__file__).with_name("lazy_import_check.py")
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, str(script), str(path)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
