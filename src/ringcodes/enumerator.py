@@ -130,13 +130,15 @@ def _weight_bins(pcs: ParityCheckSystem) -> list[int]:
         e = np.zeros((len(w), pcs.s), dtype=dtype)
         for part, cw in zip(block, spec.character_weights):
             e = (e + part[:, n:].astype(dtype) * cw) % L
-        for j in range(pcs.s):
+        # the s pairs j = l have gcd L; gcd(-d, L) = gcd(d, L) counts l < j as j < l
+        pairs[L] = pairs.get(L, 0) + pcs.s * np.bincount(w, minlength=n + 1)
+        for j in range(pcs.s - 1):
             # index the gcds that occur, then count (index, weight) in one array
-            g, inv = np.unique(np.gcd(e - e[:, j : j + 1], L), return_inverse=True)
-            keys = (inv.reshape(e.shape) * (n + 1) + w[:, None]).ravel()
+            g, inv = np.unique(np.gcd(e[:, j + 1 :] - e[:, j : j + 1], L), return_inverse=True)
+            keys = (inv.reshape(len(w), -1) * (n + 1) + w[:, None]).ravel()
             counts = np.bincount(keys, minlength=len(g) * (n + 1))
             for gk, row in zip(g.tolist(), counts.reshape(len(g), n + 1)):
-                pairs[gk] = pairs.get(gk, 0) + row
+                pairs[gk] = pairs.get(gk, 0) + 2 * row
     primes = sorted({p for t in spec.factors for p in _prime_divisors(t)})
     _, phi_L = _mobius_phi(L, primes)
     sums = [0] * (n + 1)

@@ -19,7 +19,6 @@ factor at a time by the callers.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .rings import Value
@@ -88,12 +87,6 @@ def annihilator_generator(b: int, t: int) -> int:
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _array(rows: Rows, ncols: int) -> np.ndarray:
-    import numpy as np
-
-    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-
-
 class HowellForm(Value):
     """Canonical presentation of the row span of a matrix over Z_t.
 
@@ -101,14 +94,11 @@ class HowellForm(Value):
     pivot_cols      column index of each row's leading entry, strictly increasing
     transform_rows  k rows of length m with transform @ source = rows (mod t)
     kernel_rows     rows of length m generating {c in Z_t^m : c @ source = 0}
-
-    matrix, transform and kernel are the same three as int64 arrays, built
-    on first access, so a form has a __dict__; it is not hashable.
     """
 
-    __match_args__ = ("modulus", "ncols", "source_rows", "rows", "pivot_cols",
-                      "transform_rows", "kernel_rows")
-    __hash__ = None
+    __slots__ = ("modulus", "ncols", "source_rows", "rows", "pivot_cols",
+                 "transform_rows", "kernel_rows", "_rows")
+    __match_args__ = __slots__[:-1]  # _rows is derived from rows and pivot_cols
 
     def __init__(self, modulus: int, ncols: int, source_rows: int, rows: Rows,
                  pivot_cols: tuple[int, ...], transform_rows: Rows, kernel_rows: Rows):
@@ -119,10 +109,8 @@ class HowellForm(Value):
         self.pivot_cols = pivot_cols
         self.transform_rows = transform_rows
         self.kernel_rows = kernel_rows
-
-    matrix = cached_property(lambda self: _array(self.rows, self.ncols))
-    transform = cached_property(lambda self: _array(self.transform_rows, self.source_rows))
-    kernel = cached_property(lambda self: _array(self.kernel_rows, self.source_rows))
+        # per Howell row: its pivot column, pivot, and entries from there on
+        self._rows = tuple((col, row[col], row[col:]) for row, col in zip(rows, pivot_cols))
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -131,32 +119,28 @@ class HowellForm(Value):
     def span_cardinality(self) -> int:
         return math.prod(self.modulus // p for p in self.pivots)
 
-    @cached_property
-    def _rows(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """Per Howell row: its pivot column, pivot, and entries from there on."""
-        return tuple((col, row[col], row[col:]) for row, col in zip(self.rows, self.pivot_cols))
-
-    def divide(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def divide(self, v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(coeffs, rest) with v = coeffs @ rows + rest (mod t), in Python ints.
 
         Greedy division leaves 0 <= rest[col] < pivot in each pivot column,
         and rest is the same for every vector of the coset v + span: the
         difference of two rests is a span element with first pivot entry
         strictly between -pivot and pivot, hence 0, and by the Howell
-        property the remainder of it is spanned by the later rows.
+        property the remainder of it is spanned by the later rows.  Entries
+        become Python ints, so nothing overflows, reduced mod t where a
+        quotient reads them and once at the end.
         """
-        t = self.modulus
-        v = [int(a) % t for a in v]
         if len(v) != self.ncols:
             raise ValueError("vector length does not match the ambient space")
-        coeffs = []
+        t, v, coeffs = self.modulus, list(map(int, v)), []
         for col, p, tail in self._rows:
-            q = v[col] // p
+            q = v[col] % t // p
             if q:
                 # a Howell row is zero before its pivot column
-                v[col:] = [(a - q * b) % t for a, b in zip(v[col:], tail)]
+                for i, b in enumerate(tail, col):
+                    v[i] -= q * b
             coeffs.append(q)
-        return tuple(coeffs), tuple(v)
+        return tuple(coeffs), tuple([a % t for a in v])
 
     def express(self, v) -> Optional[tuple[int, ...]]:
         """Coefficients c with c @ rows = v (mod t), or None if v is outside.
@@ -208,9 +192,9 @@ def span_blocks(forms: Sequence[HowellForm]) -> Iterator[list[np.ndarray]]:
     import numpy as np
 
     digits = [
-        (f, row, hf.modulus // int(row[col]))
+        (f, np.array(row, dtype=np.int64), hf.modulus // row[col])
         for f, hf in enumerate(forms)
-        for row, col in zip(hf.matrix, hf.pivot_cols)
+        for row, col in zip(hf.rows, hf.pivot_cols)
     ]
     strides, total = [], 1
     for _, _, radix in reversed(digits):

@@ -35,7 +35,7 @@ from .rings import (
     vec_sub,
     zero_vec,
 )
-from .submodules import Submodule, solve_forms, syzygies, transpose_forms
+from .submodules import Submodule, left_kernel, solve_forms, syzygies, transpose_forms
 
 
 class PCSValidationError(Exception):
@@ -164,17 +164,20 @@ class ParityCheckSystem:
         """One Howell form of [H | S] per ring factor.
 
         By condition (iii) a combination of rows that vanishes on H vanishes
-        on S, so every pivot lies in the H part: the span lists exactly the
-        pairs (h, S_h) for h in the row span of H, with S_h = r S for any r
-        with r H = h (two such r differ by a row dependency of H).
+        on S, so the span of [H | S] maps one to one onto the row span of H:
+        it lists exactly the pairs (h, S_h), with S_h = r S for any r with
+        r H = h (two such r differ by a row dependency of H).  The Howell
+        form is unique, so the H part of these forms is row_module.forms,
+        row for row, which _quotients and _s_row rely on.
         """
         rows = [
             RingVec(self.spec, h.coords + s.coords)
             for h, s in zip(self.h_rows, self.s_rows)
         ]
         forms = Submodule.from_generators(self.spec, self.n + self.s, rows).forms
-        if any(col >= self.n for hf in forms for col in hf.pivot_cols):
-            raise InternalInconsistency("a pivot of [H | S] lies in S")
+        h_part = [tuple(row[: self.n] for row in hf.rows) for hf in forms]
+        if h_part != [hf.rows for hf in self.row_module.forms]:
+            raise InternalInconsistency("the H part of [H | S] is not the Howell form of H")
         return forms
 
     @cached_property
@@ -184,33 +187,18 @@ class ParityCheckSystem:
         rows = [(w, row[n:]) for w, hf in zip(weights, self.hs_forms) for row in hf.rows]
         return tuple(tuple(w * part[j] for w, part in rows) for j in range(self.s))
 
-    @cached_property
-    def _h_tails(self) -> tuple[tuple[int, tuple], ...]:
-        """Per factor of hs_forms: its modulus and, per Howell row, the pivot
-        column, the pivot and the H part from the pivot on."""
-        n = self.n
-        return tuple(
-            (hf.modulus, tuple((c, row[c], row[c:n]) for row, c in zip(hf.rows, hf.pivot_cols)))
-            for hf in self.hs_forms
-        )
-
     def _quotients(self, x: RingVec) -> Optional[list[int]]:
-        """The greedy quotients of [x | 0] by hs_forms, factor after factor, or None
-        outside the row span.  Every pivot lies in the H part, so dividing that
-        part alone gives them; entries are reduced mod t only where read."""
+        """The greedy quotients of x by row_module.forms, factor after factor, or
+        None outside the row span.  They are those of [x | 0] by hs_forms,
+        whose H part is the same rows."""
         if x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
         qs = []
-        for (t, rows), v in zip(self._h_tails, x.components()):
-            v = list(v)
-            for col, p, tail in rows:
-                q = v[col] % t // p
-                if q:
-                    for i, b in enumerate(tail, col):
-                        v[i] -= q * b
-                qs.append(q)
-            if any(a % t for a in v):
+        for hf, v in zip(self.row_module.forms, x.components()):
+            q, rest = hf.divide(v)
+            if any(rest):
                 return None
+            qs += q
         return qs
 
     def s_row(self, x: RingVec) -> Optional[RingVec]:
@@ -276,9 +264,9 @@ def validate_pcs(
             raise ConditionIIViolation(seen[col], j + 1)
         seen[col] = j + 1
     # (iii): generators of the syzygy module must annihilate S's rows
-    syz = syzygies(spec, pcs.h_rows)
+    syz = left_kernel(spec, pcs.row_module.forms)
     zero_s = zero_vec(spec, pcs.s)
-    for r in syz.generators:
+    for r in syz.canonical_generators():
         combo = zero_s
         for i in range(pcs.m):
             combo = vec_add(combo, scale(r[i], pcs.s_rows[i]))
@@ -449,8 +437,9 @@ def _kernel_syndromes(pcs: ParityCheckSystem) -> list[RingVec]:
 def is_linear(pcs: ParityCheckSystem) -> bool:
     """Whether the code is a submodule, i.e. col(S) is a submodule of R^m.
 
-    The kernel syndromes always form a submodule.  When col(S) is one,
-    every column stabilises it and every kernel syndrome sigma = sigma + 0
-    is a column, so the two sets are equal.
+    The s distinct columns lie in their span M, so they are a submodule
+    exactly when |M| = s.  The syzygies of S's rows are the annihilator
+    of M, and |M| * |annihilator of M| = |R|^m (Wood 1999), so one Howell
+    form per factor decides it, without the s^2 column pairs.
     """
-    return set(_kernel_syndromes(pcs)) == set(pcs.s_cols)
+    return pcs.spec.cardinality**pcs.m == pcs.s * syzygies(pcs.spec, pcs.s_rows).cardinality

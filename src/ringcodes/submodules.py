@@ -30,12 +30,10 @@ def _transpose(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
 class Submodule:
     """A submodule of R^n held as one Howell form per ring factor."""
 
-    def __init__(self, spec: RingSpec, n: int, forms: Sequence[HowellForm],
-                 generators: Optional[tuple[RingVec, ...]] = None):
+    def __init__(self, spec: RingSpec, n: int, forms: Sequence[HowellForm]):
         self.spec = spec
         self.ambient_n = n
         self.forms = tuple(forms)
-        self.generators = self.canonical_generators() if generators is None else generators
         self.cardinality = math.prod(hf.span_cardinality() for hf in self.forms)
 
     @classmethod
@@ -52,7 +50,7 @@ class Submodule:
             howell_rows(factor_matrix(spec, gens, f, n), n, t)
             for f, t in enumerate(spec.factors)
         ]
-        return cls(spec, n, forms, gens)
+        return cls(spec, n, forms)
 
     def contains(self, x: RingVec) -> bool:
         if x.spec != self.spec or len(x) != self.ambient_n:
@@ -79,12 +77,10 @@ class Submodule:
         transposed canonical matrix, and dualizing a product module is
         dualizing each factor.
         """
-        forms = []
-        for hf in self.forms:
-            n, t = hf.ncols, hf.modulus
-            dual_gens = howell_rows(_transpose(hf.rows, n), len(hf.rows), t).kernel_rows
-            forms.append(howell_rows(dual_gens, n, t))
-        return Submodule(self.spec, self.ambient_n, forms)
+        return left_kernel(self.spec, [
+            howell_rows(_transpose(hf.rows, hf.ncols), len(hf.rows), hf.modulus)
+            for hf in self.forms
+        ])
 
     def enumerate(self) -> Iterator[RingVec]:
         """All elements exactly once: odometer over factors, last factor fastest."""
@@ -113,17 +109,19 @@ class Submodule:
         )
 
 
+def left_kernel(spec: RingSpec, forms: Sequence[HowellForm]) -> Submodule:
+    """{c in R^m : c @ source_f = 0 in every factor f}, from the forms' kernel rows.
+
+    The forms are one per factor of spec, each of a matrix with m rows.
+    """
+    m = forms[0].source_rows
+    return Submodule(spec, m, [howell_rows(hf.kernel_rows, m, hf.modulus) for hf in forms])
+
+
 def syzygies(spec: RingSpec, rows: Sequence[RingVec]) -> Submodule:
     """All coefficient vectors r in R^m with sum_i r_i rows_i = 0."""
-    m = len(rows)
-    if m == 0:
-        return Submodule.from_generators(spec, 0, ())
-    n = len(rows[0])
-    forms = []
-    for f, t in enumerate(spec.factors):
-        kern = howell_rows(factor_matrix(spec, rows, f, n), n, t).kernel_rows
-        forms.append(howell_rows(kern, m, t))
-    return Submodule(spec, m, forms)
+    n = len(rows[0]) if rows else 0
+    return left_kernel(spec, Submodule.from_generators(spec, n, rows).forms)
 
 
 def solve_forms(spec: RingSpec, forms: Sequence[HowellForm], b: RingVec) -> Optional[RingVec]:
@@ -159,14 +157,14 @@ def solve_right(rows: Sequence[RingVec], b: RingVec) -> Optional[RingVec]:
         raise ValueError("need at least one row")
     if len(b) != len(rows):
         raise ValueError("right-hand side length must match the number of rows")
-    return solve_forms(rows[0].spec, transpose_forms(rows), b)
+    if any(r.spec != b.spec or len(r) != len(rows[0]) for r in rows):
+        raise ValueError("rows and right-hand side must share one ring, the rows one length")
+    return solve_forms(b.spec, transpose_forms(rows), b)
 
 
 def solve_left(rows: Sequence[RingVec], x: RingVec) -> Optional[RingVec]:
     """Coefficients r in R^m with sum_i r_i rows_i = x, or None."""
     if not rows:
         raise ValueError("need at least one row")
-    spec, n = rows[0].spec, len(rows[0])
-    if len(x) != n:
-        raise ValueError("target length must match the row length")
-    return solve_forms(spec, Submodule.from_generators(spec, n, rows).forms, x)
+    # from_generators refuses a row outside the ambient space of x
+    return solve_forms(x.spec, Submodule.from_generators(x.spec, len(x), rows).forms, x)

@@ -21,6 +21,7 @@ from ringcodes import (
     Submodule,
     enumerate_vectors,
     is_linear,
+    kernel,
     min_distance_witness,
     oracle_kernel,
     oracle_min_distance,
@@ -91,7 +92,7 @@ STAGES = {
     # 7 columns: 7 * 6 / 2 pairs k < l for sdiff, 7 * 7 ordered pairs for the
     # kernel syndromes
     "column differences (distance)": (lambda: min_distance_witness(_whole_z7()), 21, "pairs"),
-    "column differences (kernel)": (lambda: is_linear(_whole_z7()), 49, "pairs"),
+    "column differences (kernel)": (lambda: kernel(_whole_z7()), 49, "pairs"),
 }
 
 

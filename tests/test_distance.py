@@ -448,7 +448,7 @@ def test_per_vector_queries_match_a_plain_scan_on_product_rings():
 def test_per_vector_queries_match_a_plain_scan_over_a_large_prime():
     pcs, reps, rng = _large_prime_system()
     (t,) = pcs.spec.factors
-    in_d = pcs.kernel_module.generators
+    in_d = pcs.kernel_module.canonical_generators()
     words = reps + [vec_add(d, g) for d in reps for g in in_d]
     words += [rv(pcs.spec, [rng.randrange(t) for _ in range(5)]) for _ in range(10)]
     hits = 0

@@ -437,12 +437,19 @@ def test_s_row_and_system_route_match_full_width_division():
 
 
 def test_system_route_never_divides_or_reads_the_coset_side(z6_pcs, monkeypatch):
-    z6_pcs.hs_forms  # built before the patches; the route itself divides nothing
+    z6_pcs.hs_forms  # built before the patches
+    divide = HowellForm.divide
 
     def refuse(*args):
-        raise AssertionError("the system route left hs_forms")
+        raise AssertionError("the system route read the coset side")
 
-    monkeypatch.setattr(HowellForm, "divide", refuse)
+    def narrow_divide(hf, v):
+        # the H-part quotients need only the n-wide forms of H
+        if hf.ncols > z6_pcs.n:
+            raise AssertionError(f"divided a {hf.ncols}-wide form, wider than n = {z6_pcs.n}")
+        return divide(hf, v)
+
+    monkeypatch.setattr(HowellForm, "divide", narrow_divide)
     for name in ("kernel_module", "ht_forms", "preimage"):
         monkeypatch.setattr(ParityCheckSystem, name, property(refuse))
     for x, value in Z6_FOURIER_TABLE.items():

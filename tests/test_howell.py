@@ -79,18 +79,18 @@ def test_annihilator_generator_generates_the_annihilator():
 
 def test_howell_empty_and_zero_matrices():
     hf = howell_form(np.zeros((0, 3), dtype=np.int64), 6)
-    assert hf.matrix.shape == (0, 3)
+    assert (len(hf.rows), hf.ncols) == (0, 3)
     assert hf.span_cardinality() == 1
     assert hf.contains([0, 0, 0])
     assert not hf.contains([1, 0, 0])
     hf0 = howell_form(np.zeros((2, 2), dtype=np.int64), 4)
-    assert hf0.matrix.shape == (0, 2)
-    assert brute_span(hf0.kernel, 2, 4) == brute_left_kernel([[0, 0], [0, 0]], 2, 4)
+    assert (len(hf0.rows), hf0.ncols) == (0, 2)
+    assert brute_span(hf0.kernel_rows, 2, 4) == brute_left_kernel([[0, 0], [0, 0]], 2, 4)
 
 
 def test_howell_single_zero_divisor_row():
     hf = howell_form([[2, 1]], 4)
-    assert hf.matrix.tolist() == [[2, 1], [0, 2]]
+    assert hf.rows == ((2, 1), (0, 2))
     assert hf.pivots == (2, 2)
     assert hf.span_cardinality() == 4
     assert {tuple(map(int, v)) for v in hf.enumerate_span()} == {
@@ -114,8 +114,8 @@ def _check_form(rows, n, t):
     for p in hf.pivots:
         assert t % p == 0
     # transform rebuilds the canonical matrix from the source rows
-    if len(hf.matrix):
-        assert np.array_equal((hf.transform @ src) % t, hf.matrix % t)
+    if hf.rows:
+        assert np.array_equal((np.array(hf.transform_rows) @ src) % t, np.array(hf.rows) % t)
     # span is preserved exactly and the cardinality formula matches
     span = brute_span(rows, n, t)
     enumerated = [tuple(map(int, v)) for v in hf.enumerate_span()]
@@ -126,14 +126,14 @@ def _check_form(rows, n, t):
     for v in list(span)[:50]:
         coeffs = hf.express(list(v))
         assert coeffs is not None
-        if len(hf.matrix):
-            assert np.array_equal((coeffs @ hf.matrix) % t, np.array(v) % t)
+        if hf.rows:
+            assert np.array_equal((np.array(coeffs) @ np.array(hf.rows)) % t, np.array(v) % t)
     rng = random.Random(hash((t, n, len(rows))) & 0xFFFF)
     for _ in range(20):
         v = tuple(rng.randrange(t) for _ in range(n))
         assert hf.contains(v) == (v in span)
     # kernel rows generate exactly the left kernel of the source
-    assert brute_span(hf.kernel, len(rows), t) == brute_left_kernel(rows, n, t)
+    assert brute_span(hf.kernel_rows, len(rows), t) == brute_left_kernel(rows, n, t)
 
 
 def test_howell_properties_random():
@@ -164,7 +164,7 @@ def test_howell_canonical_under_regeneration():
                 ]
                 rows2.insert(rng.randrange(len(rows2) + 1), combo)
             hf2 = howell_form(np.array(rows2), t)
-            assert np.array_equal(hf.matrix, hf2.matrix)
+            assert hf.rows == hf2.rows
             assert hf.pivot_cols == hf2.pivot_cols
 
 
@@ -198,7 +198,7 @@ def test_solve_rowspan_all_zero_rows():
 def plain_greedy(hf, v):
     """The greedy pivot reduction written out on Python integer lists."""
     t = hf.modulus
-    rows = [[int(a) for a in row] for row in hf.matrix]
+    rows = [[int(a) for a in row] for row in hf.rows]
     v = [int(a) % t for a in v]
     coeffs = []
     for row, col in zip(rows, hf.pivot_cols):
@@ -241,7 +241,7 @@ def test_integer_reduction_matches_a_plain_int_reference(t):
             reduced = plain_greedy(hf, v)
             if reduced is not None and not any(reduced[1]):
                 assert coeffs == reduced[0]
-                assert combine(coeffs, hf.matrix, t, n) == v
+                assert combine(coeffs, hf.rows, t, n) == v
             else:
                 assert coeffs is None
             assert hf.contains(v) == (coeffs is not None)

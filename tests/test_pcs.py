@@ -5,6 +5,7 @@ import random
 import pytest
 
 import ringcodes.pcs as pcsmod
+from ringcodes import submodules
 from ringcodes import (
     CodePresentation,
     ConditionIIIViolation,
@@ -34,6 +35,8 @@ from ringcodes import (
     zero_vec,
 )
 from conftest import (
+    OUTSIDE_RINGS,
+    PROPERTY_RINGS,
     Z6,
     Z6_H,
     Z6_REPS,
@@ -101,6 +104,57 @@ def test_forms_of_h_and_s_refuse_an_unvalidated_dependency():
     pcs = ParityCheckSystem([rv(Z6, (2, 4))], [rv(Z6, (1,))])
     with pytest.raises(InternalInconsistency):
         pcs.s_row(rv(Z6, (2, 4)))
+
+
+def _system_from_reps(h, reps):
+    """A validated system with the distinct columns H d for the given d."""
+    spec = h[0].spec
+    cols = list(dict.fromkeys(tuple(dot(row, d) for row in h) for d in reps))
+    return validate_pcs(h, [RingVec(spec, tuple(c[i].residues for c in cols)) for i in range(len(h))])
+
+
+def test_h_part_of_the_forms_of_h_and_s_is_the_form_of_h():
+    # condition (iii) makes the span of [H | S] map one to one onto the row
+    # span of H, and the Howell form is unique, so the H part of each row
+    # is the Howell form of H, row for row
+    rng = random.Random(1661)
+    systems = [random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)[0]
+               for _ in range(40)]
+    for ring in ["Z2147483629", "Z65521xZ65519", "Z16", "Z27xZ4"]:
+        spec = parse_ring(ring)
+        for _ in range(6):
+            n = rng.randint(1, 4)
+            h = [random_vec(rng, spec, n) for _ in range(rng.randint(1, 3))]
+            h.insert(rng.randrange(len(h) + 1), rng.choice(h))  # a repeated row
+            systems.append(_system_from_reps(h, [random_vec(rng, spec, n) for _ in range(3)]))
+    for pcs in systems:
+        rows = [RingVec(pcs.spec, h.coords + s.coords) for h, s in zip(pcs.h_rows, pcs.s_rows)]
+        hs = Submodule.from_generators(pcs.spec, pcs.n + pcs.s, rows).forms
+        assert [tuple(r[: pcs.n] for r in hf.rows) for hf in hs] == [
+            hf.rows for hf in pcs.row_module.forms
+        ]
+        assert [hf.pivot_cols for hf in hs] == [hf.pivot_cols for hf in pcs.row_module.forms]
+        assert pcs.hs_forms == hs
+
+
+def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
+    calls = []
+    howell_rows = submodules.howell_rows
+
+    def counting(rows, ncols, t):
+        calls.append((tuple(map(tuple, rows)), ncols, t))
+        return howell_rows(rows, ncols, t)
+
+    monkeypatch.setattr(submodules, "howell_rows", counting)
+    spec = parse_ring("Z3xZ4")
+    h = [rv(spec, [(1, 2), (2, 0), (0, 3)]), rv(spec, [(2, 1), (1, 2), (0, 1)])]
+    for pcs in (build_z6_pcs(),
+                _system_from_reps(h, [rv(spec, [(1, 1), (0, 0), (2, 3)]), zero_vec(spec, 3)])):
+        calls.clear()
+        validate_pcs(pcs.h_rows, pcs.s_rows).kernel_cardinality
+        for f, t in enumerate(pcs.spec.factors):
+            form_of_h = (tuple(row.component(f) for row in pcs.h_rows), pcs.n, t)
+            assert calls.count(form_of_h) == 1
 
 
 def test_syndrome_and_member_golden(z6_pcs):
@@ -348,6 +402,19 @@ def test_kernel_and_is_linear_over_a_large_prime():
     nonlinear = validate_pcs(h, s_rows)
     assert not is_linear(nonlinear)
     assert kernel(nonlinear) == nonlinear.kernel_module
+
+
+def test_is_linear_needs_no_column_pairs():
+    # 4000^2 and 10201^2 column pairs are both above DEFAULT_BUDGET
+    spec = parse_ring("Z101")
+    h = [rv(spec, (1, 0)), rv(spec, (0, 1))]
+    cols = [(a, b) for a in range(101) for b in range(101)]
+
+    def system(cols):
+        return validate_pcs(h, [RingVec.of(spec, [c[i] for c in cols]) for i in range(2)])
+
+    assert is_linear(system(cols))
+    assert not is_linear(system(cols[:4000]))
 
 
 def test_validate_agrees_with_exhaustive_checks():

@@ -131,7 +131,7 @@ def test_enumerate_order_is_independent_of_the_block(monkeypatch):
             span = []
             for combo in product(*(range(t // p) for p in hf.pivots)):
                 acc = [0] * n
-                for c, row in zip(combo, hf.matrix):
+                for c, row in zip(combo, hf.rows):
                     acc = [(a + c * int(r)) % t for a, r in zip(acc, row)]
                 span.append(tuple(acc))
             per_factor.append(span)
@@ -282,6 +282,16 @@ def test_solve_argument_errors():
         solve_right(rows, zero_vec(Z6, 3))
     with pytest.raises(ValueError):
         solve_left(rows, zero_vec(Z6, 3))
+    # a target or a row from another ring, even of the right length
+    z7 = parse_ring("Z7")
+    with pytest.raises(ValueError):
+        solve_right(rows, rv(parse_ring("Z2xZ3"), [(1, 0), (0, 1)]))
+    with pytest.raises(ValueError):
+        solve_left([rv(Z6, (1, 0)), rv(Z6, (0, 1))], rv(z7, (1, 5)))
+    with pytest.raises(ValueError):
+        solve_right([rv(Z6, (1, 0)), rv(z7, (0, 1))], rv(Z6, (1, 5)))
+    with pytest.raises(ValueError):
+        solve_left([rv(Z6, (1, 0)), rv(z7, (0, 1))], rv(Z6, (1, 5)))
 
 
 def test_from_generators_rejects_mismatches():
