@@ -92,7 +92,7 @@ def min_distance_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:
     S^diff; shell order makes it a deterministic function of the system.
     The answer is cached on the system.
     """
-    if pcs.s == 1 and pcs.kernel_module.cardinality == 1:
+    if pcs.s == 1 and pcs.kernel_cardinality == 1:
         raise DegenerateCode("the code has exactly one word")
     if pcs._distance is None:
         # x with 0 - H x^T in -S^diff, i.e. H x^T in S^diff

@@ -73,7 +73,7 @@ class ProblemFile(Value):
 _TOKEN_RE = re.compile(r"\(\s*-?\d+(?:\s*,\s*-?\d+)*\s*\)|-?\d+|\||\S")
 
 
-def _tokenize(line: str, lineno: int) -> list[tuple[str, int]]:
+def _tokenize(line: str) -> list[tuple[str, int]]:
     """Tokens with 1-based column positions; junk becomes a one-char token."""
     return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
@@ -146,7 +146,7 @@ def parse_problem(text: str) -> ProblemFile:
         h_rows, s_rows = [], []
         n = s = None
         for line, no in blocks[0]:
-            toks = _tokenize(line, no)
+            toks = _tokenize(line)
             if not any(t == "|" for t, _ in toks):
                 raise ParseError("pcs row needs a '|' between H and S entries", no, 1)
             split = next(i for i, (t, _) in enumerate(toks) if t == "|")
@@ -181,7 +181,7 @@ def parse_problem(text: str) -> ProblemFile:
         rows = []
         width = None
         for line, no in block:
-            toks = _tokenize(line, no)
+            toks = _tokenize(line)
             if any(t == "|" for t, _ in toks):
                 _, c = next((t, c) for t, c in toks if t == "|")
                 raise ParseError("'|' does not belong in code mode", no, c)
@@ -241,13 +241,7 @@ def as_presentation(pf: ProblemFile) -> CodePresentation:
 
 def parse_vector_literal(spec: RingSpec, text: str) -> RingVec:
     """A vector from the command line: elements split by commas or spaces."""
-    elems = []
-    pos = 0
-    for m in re.finditer(r"\(\s*-?\d+(?:\s*,\s*-?\d+)*\s*\)|-?\d+|,|\s+|\S", text):
-        tok = m.group(0)
-        if tok == "," or tok.isspace():
-            continue
-        elems.append(_parse_element(spec, tok, 1, m.start() + 1))
+    elems = [_parse_element(spec, tok, 1, col) for tok, col in _tokenize(text) if tok != ","]
     if not elems:
         raise ParseError("empty vector", 1, 1)
     return RingVec.of(spec, elems)

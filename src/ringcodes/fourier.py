@@ -7,8 +7,8 @@ are integer combinations of L-th roots of unity, so they are carried
 around as sparse exponent sums (one (exponent, count) term per root that
 occurs, at most s of them for a coefficient) and only turned into
 floating-point complex numbers at the very end.  A coefficient therefore
-costs O(s) memory at any L; the dense list of all L counts is only ever a
-view computed on demand.
+costs O(s) memory at any L; the dense L counts are only ever generated
+on demand.
 
 Two independent routes compute the same coefficient: a sum over the coset
 representatives of the code, and a sum over one syndrome row combination
@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, repeat
-from operator import eq, index, mul
+from operator import mul
 from typing import Callable, Optional
 
 from .pcs import CodePresentation, ParityCheckSystem
@@ -42,49 +42,13 @@ def _root(k: int, order: int) -> complex:
     return cmath.exp(2j * cmath.pi * k / order)
 
 
-class _Counts(Sequence):
-    """The dense counts of an ExponentSum, read off its terms on demand.
-
-    len() is the root order L and item k is the coefficient of zeta_L^k.
-    Indexing, iteration and comparison allocate nothing of length L.
-    """
-
-    __slots__ = ("_order", "_terms")
-
-    def __init__(self, order: int, terms: tuple[tuple[int, int], ...]):
-        self._order = order
-        self._terms = terms
-
-    def __len__(self) -> int:
-        return self._order
-
-    def __getitem__(self, k: int) -> int:
-        k = range(self._order)[index(k)]
-        return next((c for j, c in self._terms if j == k), 0)
-
-    def __iter__(self) -> Iterator[int]:
-        parts, prev = [], 0
-        for k, c in self._terms:
-            parts += (repeat(0, k - prev), (c,))
-            prev = k + 1
-        parts.append(repeat(0, self._order - prev))
-        return chain.from_iterable(parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Counts):
-            return (self._order, self._terms) == (other._order, other._terms)
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-
 class ExponentSum(Value):
     """An integer combination of the L-th roots of unity.
 
     terms holds the pairs (k, c) with c != 0, sorted by k, of the sum
     sum_k c * zeta_L^k; it is empty for zero.  Memory grows with the number
     of terms, never with L.  ExponentSum(L, counts) takes the L counts
-    densely; the counts property gives them back as a read-only view.
+    densely; the counts property gives them back as a fresh iterator.
     Addition, negation, scaling and multiplication (cyclic convolution) are
     exact; evaluate() is the only lossy step.  Note distinct term tuples can
     evaluate to the same complex number, so exact equality is finer than
@@ -138,8 +102,14 @@ class ExponentSum(Value):
         return cls._of(order, tuple(terms))
 
     @property
-    def counts(self) -> _Counts:
-        return _Counts(self.order, self.terms)
+    def counts(self) -> Iterator[int]:
+        """The L dense counts, one per root, generated from the terms."""
+        runs, prev = [], 0
+        for k, c in self.terms:
+            runs += (repeat(0, k - prev), (c,))
+            prev = k + 1
+        runs.append(repeat(0, self.order - prev))
+        return chain.from_iterable(runs)
 
     @classmethod
     def zero(cls, order: int) -> "ExponentSum":

@@ -23,10 +23,9 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import rings
-from .howell import HowellForm
+from .howell import HowellForm, howell_rows
 from .reach import SyndromeSpace
 from .rings import (
-    RingSpec,
     RingVec,
     check_budget,
     dot,
@@ -35,7 +34,7 @@ from .rings import (
     vec_sub,
     zero_vec,
 )
-from .submodules import Submodule, left_kernel, solve_forms, syzygies, transpose_forms
+from .submodules import Submodule, left_kernel, solve_forms, transpose_forms
 
 
 class PCSValidationError(Exception):
@@ -78,12 +77,17 @@ class InternalInconsistency(Exception):
 
 
 class ParityCheckSystem:
-    """A validated (H|S) pair with cached module data and syndrome lookup."""
+    """A valid (H|S) pair with cached module data and syndrome lookup.
+
+    Construction checks conditions (i) to (iii) and raises a Condition*Violation
+    with 1-based witness data.  (iii) is checked on generators of the row
+    dependencies only, which is enough since both sides are linear in r.
+    """
 
     def __init__(self, h_rows: Sequence[RingVec], s_rows: Sequence[RingVec]):
         if not h_rows:
             raise ValueError("H needs at least one row (a zero row is fine)")
-        self.spec = h_rows[0].spec
+        self.spec = spec = h_rows[0].spec
         self.h_rows = tuple(h_rows)
         self.s_rows = tuple(s_rows)
         self.m = len(h_rows)
@@ -94,19 +98,38 @@ class ParityCheckSystem:
         if self.s < 1:
             raise ValueError("S needs at least one column")
         for row in h_rows:
-            if row.spec != self.spec or len(row) != self.n:
+            if row.spec != spec or len(row) != self.n:
                 raise ValueError("ragged or mixed-ring H")
         for row in s_rows:
-            if row.spec != self.spec or len(row) != self.s:
+            if row.spec != spec or len(row) != self.s:
                 raise ValueError("ragged or mixed-ring S")
+        # (i): S entries lie in their H row's image ideal, gcd(t_f, row) per factor f
+        for i, (h, s) in enumerate(zip(self.h_rows, self.s_rows), 1):
+            gcds = [math.gcd(t, *part) for t, part in zip(spec.factors, h.components())]
+            for j, entry in enumerate(s.coords, 1):
+                if any(a % g for a, g in zip(entry, gcds)):
+                    raise ConditionIViolation(i, j)
         # per-factor rows of H as plain integers, for syndromes
         self._h_ints = tuple(zip(*(row.components() for row in self.h_rows)))
         self.s_cols = tuple(
-            RingVec(self.spec, tuple(r.coords[j] for r in self.s_rows))
+            RingVec(spec, tuple(r.coords[j] for r in self.s_rows))
             for j in range(self.s)
         )
-        # flat syndrome key -> 1-based column index, the whole of member()
-        self._col_index = {_key(col): j + 1 for j, col in enumerate(self.s_cols)}
+        # (ii): distinct columns; flat syndrome key -> 1-based column index,
+        # the whole of member()
+        self._col_index = {}
+        for j, col in enumerate(self.s_cols, 1):
+            first = self._col_index.setdefault(_key(col), j)
+            if first != j:
+                raise ConditionIIViolation(first, j)
+        # (iii): generators of the syzygy module must annihilate S's rows
+        zero_s = zero_vec(spec, self.s)
+        for r in left_kernel(spec, self.row_module.forms).canonical_generators():
+            combo = zero_s
+            for c, row in zip(r, self.s_rows):
+                combo = vec_add(combo, scale(c, row))
+            if combo != zero_s:
+                raise ConditionIIIViolation(r)
         self._syndrome_space: Optional[SyndromeSpace] = None
         # (distance, witness), filled by distance.min_distance_witness
         self._distance: Optional[tuple[int, RingVec]] = None
@@ -118,8 +141,8 @@ class ParityCheckSystem:
 
     @cached_property
     def kernel_module(self) -> Submodule:
-        """D = {x : H x^T = 0}, the common kernel of the checks."""
-        return self.row_module.annihilator()
+        """D = {x : H x^T = 0}, the common kernel of the checks, from ht_forms."""
+        return left_kernel(self.spec, self.ht_forms)
 
     def syndrome_space(self) -> Optional[SyndromeSpace]:
         """The cached reachability tables, or None above DEFAULT_BUDGET bytes."""
@@ -161,24 +184,25 @@ class ParityCheckSystem:
 
     @cached_property
     def hs_forms(self) -> tuple[HowellForm, ...]:
-        """One Howell form of [H | S] per ring factor.
+        """One Howell form of [H | S] per ring factor, read off row_module.forms.
 
-        By condition (iii) a combination of rows that vanishes on H vanishes
-        on S, so the span of [H | S] maps one to one onto the row span of H:
-        it lists exactly the pairs (h, S_h), with S_h = r S for any r with
-        r H = h (two such r differ by a row dependency of H).  The Howell
-        form is unique, so the H part of these forms is row_module.forms,
-        row for row, which _quotients and _s_row rely on.
+        By condition (iii) the span of [H | S] lists exactly the pairs
+        (h, S_h), S_h = r S for any r with r H = h, so extending each Howell
+        row T_i H of H by T_i S gives the unique Howell form of [H | S], with
+        H's pivots, transform and kernel rows.  _quotients and _s_row rely
+        on its H part being row_module.forms row for row.
         """
-        rows = [
-            RingVec(self.spec, h.coords + s.coords)
-            for h, s in zip(self.h_rows, self.s_rows)
-        ]
-        forms = Submodule.from_generators(self.spec, self.n + self.s, rows).forms
-        h_part = [tuple(row[: self.n] for row in hf.rows) for hf in forms]
-        if h_part != [hf.rows for hf in self.row_module.forms]:
-            raise InternalInconsistency("the H part of [H | S] is not the Howell form of H")
-        return forms
+        forms = []
+        s_parts = zip(*(row.components() for row in self.s_rows))
+        for hf, s_part in zip(self.row_module.forms, s_parts):
+            t, s_cols = hf.modulus, tuple(zip(*s_part))
+            rows = tuple(
+                h + tuple([sum(map(mul, tr, col)) % t for col in s_cols])
+                for h, tr in zip(hf.rows, hf.transform_rows)
+            )
+            forms.append(HowellForm(t, self.n + self.s, hf.source_rows, rows,
+                                    hf.pivot_cols, hf.transform_rows, hf.kernel_rows))
+        return tuple(forms)
 
     @cached_property
     def _exponent_cols(self) -> tuple[tuple[int, ...], ...]:
@@ -227,52 +251,11 @@ class ParityCheckSystem:
         )
 
 
-def _image_ideal_gcds(spec: RingSpec, row: RingVec) -> tuple[int, ...]:
-    """Per factor f: gcd of the row's residues with t_f, generating the image ideal."""
-    out = []
-    for f, t in enumerate(spec.factors):
-        g = t
-        for c in row.coords:
-            g = math.gcd(g, c[f])
-        out.append(g)
-    return tuple(out)
-
-
 def validate_pcs(
     h_rows: Sequence[RingVec], s_rows: Sequence[RingVec]
 ) -> ParityCheckSystem:
-    """Check conditions (i) to (iii) and return the packaged system.
-
-    Raises ConditionIViolation / ConditionIIViolation / ConditionIIIViolation
-    with 1-based witness data.  Condition (iii) only needs checking on a
-    generating set of the row dependencies, since both sides are linear in r.
-    """
-    pcs = ParityCheckSystem(h_rows, s_rows)
-    spec = pcs.spec
-    # (i): each S entry must lie in its row's image ideal, factor by factor
-    for i, h_row in enumerate(pcs.h_rows):
-        gcds = _image_ideal_gcds(spec, h_row)
-        for j in range(pcs.s):
-            entry = pcs.s_rows[i].coords[j]
-            for f, g in enumerate(gcds):
-                if entry[f] % g:
-                    raise ConditionIViolation(i + 1, j + 1)
-    # (ii): distinct columns
-    seen: dict[RingVec, int] = {}
-    for j, col in enumerate(pcs.s_cols):
-        if col in seen:
-            raise ConditionIIViolation(seen[col], j + 1)
-        seen[col] = j + 1
-    # (iii): generators of the syzygy module must annihilate S's rows
-    syz = left_kernel(spec, pcs.row_module.forms)
-    zero_s = zero_vec(spec, pcs.s)
-    for r in syz.canonical_generators():
-        combo = zero_s
-        for i in range(pcs.m):
-            combo = vec_add(combo, scale(r[i], pcs.s_rows[i]))
-        if combo != zero_s:
-            raise ConditionIIIViolation(r)
-    return pcs
+    """The system (H|S), raising as ParityCheckSystem does when (i) to (iii) fail."""
+    return ParityCheckSystem(h_rows, s_rows)
 
 
 class CodePresentation:
@@ -396,21 +379,30 @@ def member(pcs: ParityCheckSystem, x: RingVec) -> Optional[int]:
 def kernel(pcs: ParityCheckSystem) -> Submodule:
     """The kernel of the code: {y : r y + c stays in the code for all r, c}.
 
-    Work happens on the finite syndrome side: each kernel syndrome is
-    pulled back through one solve, and those pullbacks together with D
-    generate the kernel.
+    It is the preimage under H of the kernel syndromes, so in each factor it
+    is spanned by D, the kernel rows of ht_forms, and one solve per kernel
+    syndrome.  For a linear code those syndromes are all of col(S), the
+    annihilator of the syzygies of S's rows (see is_linear), and its
+    canonical generators stand in for its s elements; otherwise
+    _kernel_syndromes lists them from the column differences.
     """
-    gens = list(pcs.kernel_module.canonical_generators())
-    for sigma in _kernel_syndromes(pcs):
-        x = pcs.preimage(sigma)
-        if x is None:
+    spec = pcs.spec
+    s_span = Submodule.from_generators(spec, pcs.s, pcs.s_rows)
+    if s_span.cardinality == pcs.s:
+        syndromes = left_kernel(spec, s_span.forms).annihilator().canonical_generators()
+    else:
+        syndromes = _kernel_syndromes(pcs)
+    parts = []
+    for f, ht in enumerate(pcs.ht_forms):
+        pullbacks = [ht.solve(sigma.component(f)) for sigma in syndromes]
+        if None in pullbacks:
             raise InternalInconsistency("kernel syndrome has no preimage")
-        gens.append(x)
-    return Submodule.from_generators(pcs.spec, pcs.n, tuple(gens))
+        parts.append(howell_rows([*ht.kernel_rows, *pullbacks], pcs.n, ht.modulus))
+    return Submodule(spec, pcs.n, parts)
 
 
 def _kernel_syndromes(pcs: ParityCheckSystem) -> list[RingVec]:
-    """The sigma with r sigma + col(S) = col(S) for every scalar r, sorted.
+    """The sigma with r sigma + col(S) = col(S) for every scalar r.
 
     The r = 1 case makes sigma a member of the additive stabiliser of
     col(S), the column differences shared by every column.  That is a
@@ -428,9 +420,7 @@ def _kernel_syndromes(pcs: ParityCheckSystem) -> list[RingVec]:
         for f in range(spec.nfactors)
     ]
     return [
-        sigma
-        for sigma in sorted(stabiliser, key=lambda v: v.coords)
-        if all(scale(e, sigma) in stabiliser for e in idempotents)
+        sigma for sigma in stabiliser if all(scale(e, sigma) in stabiliser for e in idempotents)
     ]
 
 
@@ -438,8 +428,9 @@ def is_linear(pcs: ParityCheckSystem) -> bool:
     """Whether the code is a submodule, i.e. col(S) is a submodule of R^m.
 
     The s distinct columns lie in their span M, so they are a submodule
-    exactly when |M| = s.  The syzygies of S's rows are the annihilator
-    of M, and |M| * |annihilator of M| = |R|^m (Wood 1999), so one Howell
-    form per factor decides it, without the s^2 column pairs.
+    exactly when |M| = s.  The syzygies of S's rows are the annihilator of
+    M and the kernel of r -> r S, so |M| = |R|^m / |syzygies| (Wood 1999)
+    is the size of the row span of S: one Howell form of S per factor
+    decides it, without the s^2 column pairs.
     """
-    return pcs.spec.cardinality**pcs.m == pcs.s * syzygies(pcs.spec, pcs.s_rows).cardinality
+    return Submodule.from_generators(pcs.spec, pcs.s, pcs.s_rows).cardinality == pcs.s

@@ -207,8 +207,11 @@ def test_parse_vector_literal_forms():
 def test_parse_vector_literal_errors():
     with pytest.raises(ParseError):
         parse_vector_literal(Z6, "")
-    with pytest.raises(ParseError):
-        parse_vector_literal(Z6, "1, x")
+    for text, col, token in [("1, x", 4, "x"), ("1|2", 2, "|")]:
+        with pytest.raises(ParseError) as exc:
+            parse_vector_literal(Z6, text)
+        assert (exc.value.line, exc.value.col) == (1, col)
+        assert str(exc.value) == f"line 1, col {col}: unexpected token {token!r}"
     with pytest.raises(ParseError):
         parse_vector_literal(parse_ring("Z2xZ3"), "1 2")
 

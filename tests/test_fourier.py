@@ -70,10 +70,10 @@ Z6_FOURIER_TABLE = {
 def test_exponent_sum_algebra():
     a = ExponentSum.root(6, 1)
     b = ExponentSum.root(6, 5)
-    assert (a * b).counts == ExponentSum.root(6, 0).counts
+    assert (a * b).terms == ExponentSum.root(6, 0).terms
     assert (a + b).evaluate() == pytest.approx(2 * (0.5), abs=1e-12)
-    assert (-a).counts == a.scaled(-1).counts
-    assert (a - a).counts == (0,) * 6
+    assert (-a).terms == a.scaled(-1).terms
+    assert tuple((a - a).counts) == (0,) * 6
     assert ExponentSum.zero(6).is_zero()
 
 
@@ -125,10 +125,7 @@ def test_sparse_arithmetic_matches_dense_reference():
         a, b = ([rng.choice([0, 0, 0, -2, -1, 1, 3]) for _ in range(L)] for _ in range(2))
         ea, eb = ExponentSum(L, tuple(a)), ExponentSum(L, tuple(b))
         assert ea.terms == _dense_terms(a)
-        assert list(ea.counts) == a and ea.counts == tuple(a)
-        assert [ea.counts[k] for k in range(-L, L)] == a + a
-        with pytest.raises(IndexError):
-            ea.counts[L]
+        assert list(ea.counts) == a and tuple(ea.counts) == tuple(a)
         product = [0] * L
         for i in range(L):
             for j in range(L):
@@ -178,7 +175,8 @@ def test_coefficients_cost_memory_in_terms_not_in_L():
         for k in exps:
             want[k] = want.get(k, 0) + kcard
         assert by_pcs.terms == tuple(sorted(want.items()))
-        assert len(by_pcs.counts) == L
+        # the dense counts are generated lazily, even at this L
+        assert next(by_pcs.counts) == dict(by_pcs.terms).get(0, 0)
 
 
 def test_generating_character_single_factor():
@@ -268,8 +266,8 @@ def test_fourier_vanishes_off_support(z6_pcs):
     pres = pcs_to_code(z6_pcs)
     x = rv(Z6, (1, 0, 0, 0))
     assert not z6_pcs.row_module.contains(x)
-    assert fourier_coeff_pcs(z6_pcs, x).counts == (0,) * 6
-    assert fourier_coeff_coset(pres, x).counts == (0,) * 6
+    assert tuple(fourier_coeff_pcs(z6_pcs, x).counts) == (0,) * 6
+    assert tuple(fourier_coeff_coset(pres, x).counts) == (0,) * 6
     # and the brute-force sum agrees it is zero
     assert abs(oracle_fourier(oracle_code_from_pcs(z6_pcs), x)) < 1e-9
 
@@ -295,7 +293,7 @@ def test_fourier_routes_agree_random():
             x = random_vec(rng, pcs.spec, pcs.n)
             if pcs.row_module.contains(x):
                 continue
-            assert fourier_coeff_pcs(pcs, x).counts == (0,) * pcs.spec.char_order
+            assert tuple(fourier_coeff_pcs(pcs, x).counts) == (0,) * pcs.spec.char_order
             assert abs(oracle_fourier(code, x)) < 1e-9
 
 

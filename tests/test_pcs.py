@@ -11,21 +11,23 @@ from ringcodes import (
     ConditionIIIViolation,
     ConditionIIViolation,
     ConditionIViolation,
-    InternalInconsistency,
     ParityCheckSystem,
     RingVec,
     Submodule,
     code_to_pcs,
     dot,
     enumerate_vectors,
+    fourier_coeff_pcs,
     is_linear,
     kernel,
     member,
+    min_distance_witness,
     oracle_code_from_pcs,
     oracle_is_linear,
     oracle_kernel,
     oracle_validate,
     parse_ring,
+    pcs_enumerator_poly,
     pcs_to_code,
     scale,
     solve_right,
@@ -58,28 +60,45 @@ def test_golden_system_validates(z6_pcs):
     assert z6_pcs.code_cardinality() == 216
 
 
+# validate_pcs is the constructor under its documented name: both refuse
+# an invalid pair alike
+BUILDERS = (validate_pcs, ParityCheckSystem)
+
+
 def test_condition_i_violation_appended_column():
     s_rows = [rv(Z6, (0, 1, 5, 1)), rv(Z6, (0, 2, 4, 1))]
-    with pytest.raises(ConditionIViolation) as exc:
-        validate_pcs([rv(Z6, h) for h in Z6_H], s_rows)
-    assert exc.value.row == 2
-    assert exc.value.col == 4
+    for build in BUILDERS:
+        with pytest.raises(ConditionIViolation) as exc:
+            build([rv(Z6, h) for h in Z6_H], s_rows)
+        assert type(exc.value) is ConditionIViolation
+        assert (exc.value.row, exc.value.col) == (2, 4)
+        assert str(exc.value) == "S entry at row 2, column 4 is outside the image of H row 2"
 
 
 def test_condition_ii_violation_duplicate_columns():
-    s_rows = [rv(Z6, (0, 0)), rv(Z6, (0, 0))]
-    with pytest.raises(ConditionIIViolation) as exc:
-        validate_pcs([rv(Z6, h) for h in Z6_H], s_rows)
-    assert (exc.value.col_a, exc.value.col_b) == (1, 2)
+    for s_rows, cols in [
+        ([rv(Z6, (0, 0)), rv(Z6, (0, 0))], (1, 2)),
+        # the first repeat, named with the first column it repeats
+        ([rv(Z6, (0, 2, 4, 2, 2)), rv(Z6, (0, 2, 2, 2, 4))], (2, 4)),
+    ]:
+        for build in BUILDERS:
+            with pytest.raises(ConditionIIViolation) as exc:
+                build([rv(Z6, h) for h in Z6_H], s_rows)
+            assert (exc.value.col_a, exc.value.col_b) == cols
+            assert str(exc.value) == f"S columns {cols[0]} and {cols[1]} are equal"
 
 
 def test_condition_iii_violation_broken_dependency():
     # rows (1,1) and (2,2) over Z6 satisfy 4*h1 + h2 = 0, so S must obey it
     h_rows = [rv(Z6, (1, 1)), rv(Z6, (2, 2))]
     s_rows = [rv(Z6, (0, 1)), rv(Z6, (0, 0))]
-    with pytest.raises(ConditionIIIViolation) as exc:
-        validate_pcs(h_rows, s_rows)
-    w = exc.value.witness
+    witnesses = []
+    for build in BUILDERS:
+        with pytest.raises(ConditionIIIViolation) as exc:
+            build(h_rows, s_rows)
+        witnesses.append((exc.value.witness, str(exc.value)))
+    assert witnesses[0] == witnesses[1]
+    w = witnesses[0][0]
     # the witness really is a dependency of H's rows that S's rows break
     assert vec_add(scale(w[0], h_rows[0]), scale(w[1], h_rows[1])) == zero_vec(Z6, 2)
     assert vec_add(scale(w[0], s_rows[0]), scale(w[1], s_rows[1])) != zero_vec(Z6, 2)
@@ -99,11 +118,12 @@ def test_validate_requires_consistent_shapes():
 
 
 def test_forms_of_h_and_s_refuse_an_unvalidated_dependency():
-    # 3 * (2, 4) = 0 but 3 * 1 != 0 over Z6: condition (iii) fails, so a
-    # pivot of [H | S] would land in S and the pairs (h, S_h) break down
-    pcs = ParityCheckSystem([rv(Z6, (2, 4))], [rv(Z6, (1,))])
-    with pytest.raises(InternalInconsistency):
-        pcs.s_row(rv(Z6, (2, 4)))
+    # 4 * (1, 1) + (2, 2) = 0 but 4 * (0, 1) + (0, 0) != 0 over Z6: a pivot
+    # of [H | S] would land in S and the pairs (h, S_h) break down, so no
+    # such system is built to read hs_forms off
+    h_rows = [rv(Z6, (1, 1)), rv(Z6, (2, 2))]
+    with pytest.raises(ConditionIIIViolation):
+        ParityCheckSystem(h_rows, [rv(Z6, (0, 1)), rv(Z6, (0, 0))])
 
 
 def _system_from_reps(h, reps):
@@ -145,9 +165,20 @@ def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
         calls.append((tuple(map(tuple, rows)), ncols, t))
         return howell_rows(rows, ncols, t)
 
-    monkeypatch.setattr(submodules, "howell_rows", counting)
+    for module in (submodules, pcsmod):
+        monkeypatch.setattr(module, "howell_rows", counting)
     spec = parse_ring("Z3xZ4")
     h = [rv(spec, [(1, 2), (2, 0), (0, 3)]), rv(spec, [(2, 1), (1, 2), (0, 1)])]
+    # Howell forms per factor of one call on a freshly validated system:
+    # hs_forms is read off the form of H, kernel_module off that of H^T,
+    # and kernel adds the forms of S and of the kernel (both codes are
+    # nonlinear)
+    per_factor = [
+        (pcs_to_code, 2),
+        (lambda pcs: fourier_coeff_pcs(pcs, pcs.h_rows[0]), 0),
+        (pcs_enumerator_poly, 0),
+        (kernel, 3),
+    ]
     for pcs in (build_z6_pcs(),
                 _system_from_reps(h, [rv(spec, [(1, 1), (0, 0), (2, 3)]), zero_vec(spec, 3)])):
         calls.clear()
@@ -155,6 +186,17 @@ def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
         for f, t in enumerate(pcs.spec.factors):
             form_of_h = (tuple(row.component(f) for row in pcs.h_rows), pcs.n, t)
             assert calls.count(form_of_h) == 1
+        assert len(calls) == 2 * pcs.spec.nfactors
+        for op, forms in per_factor:
+            fresh = validate_pcs(pcs.h_rows, pcs.s_rows)
+            calls.clear()
+            op(fresh)
+            assert len(calls) == forms * pcs.spec.nfactors, op
+    # the one-word check of a one-column system reads |D| off the form of H
+    one_column = validate_pcs([rv(Z6, r) for r in Z6_H], [rv(Z6, (0,)), rv(Z6, (0,))])
+    calls.clear()
+    assert min_distance_witness(one_column)[0] == 2
+    assert calls == []
 
 
 def test_syndrome_and_member_golden(z6_pcs):
@@ -415,6 +457,21 @@ def test_is_linear_needs_no_column_pairs():
 
     assert is_linear(system(cols))
     assert not is_linear(system(cols[:4000]))
+
+
+def test_kernel_of_a_linear_code_needs_no_column_pairs():
+    # the kernel of a linear code is the code: its syndromes are all of
+    # col(S), pulled back through generators, not through 10201^2 pairs
+    spec = parse_ring("Z101")
+    h = [rv(spec, (1, 0, 0)), rv(spec, (0, 1, 0))]
+    whole = [(a, b) for a in range(101) for b in range(101)]
+    line = [(a, 3 * a % 101) for a in range(101)]
+    for cols in (whole, line):
+        pcs = validate_pcs(h, [RingVec.of(spec, [c[i] for c in cols]) for i in range(2)])
+        ker = kernel(pcs)
+        assert ker.cardinality == pcs.code_cardinality() == 101 * len(cols)
+        assert ker.contains(rv(spec, (cols[1][0], cols[1][1], 7)))
+        assert all(member(pcs, g) for g in ker.canonical_generators())
 
 
 def test_validate_agrees_with_exhaustive_checks():
