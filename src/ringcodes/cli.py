@@ -5,6 +5,8 @@ an --oracle route that recomputes by brute force or cross-checks the fast one.
 A route maps the validated system and the arguments to a human and a JSON
 answer (--json prints the latter on one line); _run does the shared steps.
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 budget exceeded.
+The routes reach distance, enumerator, fourier and oracle through the
+package's lazy names, so a process loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .distance import (
-    BeyondRadius,
-    DecodeResult,
-    DegenerateCode,
-    decode,
-    min_distance_witness,
-)
-from .enumerator import distance_distribution, pcs_enumerator_poly
+import ringcodes
+
 from .formats import (
     ParseError,
     as_system,
@@ -31,18 +27,6 @@ from .formats import (
     parse_vector_literal,
     serialize_code,
     serialize_pcs,
-)
-from .fourier import _coeff_pcs
-from .oracle import (
-    ExplicitCode,
-    oracle_code_from_pcs,
-    oracle_distance_distribution,
-    oracle_fourier,
-    oracle_is_linear,
-    oracle_kernel,
-    oracle_min_distance,
-    oracle_nearest,
-    oracle_validate,
 )
 from .pcs import (
     ConditionIIIViolation,
@@ -84,17 +68,17 @@ def _crosschecked(pcs, args, route: Route, agrees: Callable[[ParityCheckSystem],
 
 def _same_words(pcs: ParityCheckSystem) -> bool:
     """The presentation's words are the scan's; the budget-gated scan bounds |C| first."""
-    scanned = oracle_code_from_pcs(pcs).words
+    scanned = ringcodes.oracle_code_from_pcs(pcs).words
     pres = pcs_to_code(pcs)
     return scanned == {
         vec_add(d, v) for d in pres.representatives for v in pres.kernel.enumerate()
     }
 
 
-def _oracle_distance(code: ExplicitCode) -> int:
+def _oracle_distance(code: ringcodes.ExplicitCode) -> int:
     if code.cardinality < 2:
-        raise DegenerateCode("the code has exactly one word")
-    return oracle_min_distance(code)
+        raise ringcodes.DegenerateCode("the code has exactly one word")
+    return ringcodes.oracle_min_distance(code)
 
 
 # condition -> its number and its fields in the validate report
@@ -131,7 +115,7 @@ def _to_pcs(pcs, args):
 
 
 def _mindist(pcs, args):
-    d, witness = min_distance_witness(pcs)
+    d, witness = ringcodes.min_distance_witness(pcs)
     syn = pcs.syndrome(witness)
     return (f"minimum distance: {d}  witness {_vec_human(witness)} "
             f"with syndrome {_vec_human(syn)}",
@@ -140,27 +124,28 @@ def _mindist(pcs, args):
 
 
 def _mindist_oracle(pcs, args):
-    d = _oracle_distance(oracle_code_from_pcs(pcs))
+    d = _oracle_distance(ringcodes.oracle_code_from_pcs(pcs))
     return f"minimum distance: {d}", {"min_distance": d}
 
 
-def _oracle_decode(pcs: ParityCheckSystem, x: RingVec) -> DecodeResult:
+def _oracle_decode(pcs: ParityCheckSystem, x: RingVec) -> ringcodes.DecodeResult:
     """decode by scanning the code: the nearest word within the radius."""
-    code = oracle_code_from_pcs(pcs)
+    code = ringcodes.oracle_code_from_pcs(pcs)
     radius = (_oracle_distance(code) - 1) // 2
-    best, hits = oracle_nearest(code, x)
+    best, hits = ringcodes.oracle_nearest(code, x)
     if best > radius:
-        raise BeyondRadius(x, radius)
+        raise ringcodes.BeyondRadius(x, radius)
     c = hits[0]
     syn = RingVec.of(pcs.spec, [dot(h, c) for h in pcs.h_rows])
-    return DecodeResult(codeword=c, coset_index=pcs.s_cols.index(syn) + 1,
-                        error_vector=vec_sub(x, c), error_weight=best)
+    return ringcodes.DecodeResult(codeword=c, coset_index=pcs.s_cols.index(syn) + 1,
+                                  error_vector=vec_sub(x, c), error_weight=best)
 
 
-def _decode(pcs, args, decoder):
+def _decode(pcs, args, oracle: bool):
+    decoder = _oracle_decode if oracle else ringcodes.decode
     try:
         res = decoder(pcs, _point(pcs, args.word, "word"))
-    except BeyondRadius as exc:
+    except ringcodes.BeyondRadius as exc:
         return f"beyond radius {exc.radius}", {"status": "beyond_radius", "radius": exc.radius}
     return (f"codeword {_vec_human(res.codeword)} (coset {res.coset_index}), "
             f"error {_vec_human(res.error_vector)} of weight {res.error_weight}",
@@ -179,7 +164,8 @@ def _kernel(pcs, args):
 
 
 def _kernel_oracle(pcs, args):
-    elems = sorted(oracle_kernel(oracle_code_from_pcs(pcs)), key=lambda v: v.coords)
+    kernel_words = ringcodes.oracle_kernel(ringcodes.oracle_code_from_pcs(pcs))
+    elems = sorted(kernel_words, key=lambda v: v.coords)
     return (f"kernel cardinality {len(elems)}:\n" + "\n".join(_vec_human(v) for v in elems),
             {"cardinality": len(elems), "elements": [_vec_json(v) for v in elems]})
 
@@ -188,13 +174,13 @@ def _linear(verdict: bool) -> tuple[str, dict]:
     return "linear" if verdict else "not linear", {"linear": verdict}
 
 
-def _fourier_entry(pcs, x, code: Optional[ExplicitCode]) -> dict:
+def _fourier_entry(pcs, x, code: Optional[ringcodes.ExplicitCode]) -> dict:
     """The coefficient at x: summed over the scanned code, or with its counts."""
     if code is not None:
-        v, entry = oracle_fourier(code, x), {}
+        v, entry = ringcodes.oracle_fourier(code, x), {}
     else:
         qs = pcs._quotients(x)  # one division feeds both the coefficient and S_x
-        es, s_x = _coeff_pcs(pcs, qs), pcs._s_row(qs)
+        es, s_x = ringcodes.fourier._coeff_pcs(pcs, qs), pcs._s_row(qs)
         v = es.evaluate()
         entry = {"counts": list(es.counts), "order": es.order,
                  "s_x": _vec_json(s_x) if s_x is not None else None}
@@ -219,7 +205,7 @@ def _fourier(pcs, args, oracle: bool):
         raise ParseError("fourier needs a vector argument or --all")
     else:
         points, count = [_point(pcs, args.vector, "vector")], 1
-    code = oracle_code_from_pcs(pcs) if oracle else None
+    code = ringcodes.oracle_code_from_pcs(pcs) if oracle else None
     if code is None:  # the fast route's dense "counts" lists hold count * L ints
         check_budget(count * pcs.spec.char_order, "counts output", "entries")
     entries = [_fourier_entry(pcs, x, code) for x in points]
@@ -228,14 +214,14 @@ def _fourier(pcs, args, oracle: bool):
 
 
 def _enumerator(pcs, args):
-    dd, npoly = distance_distribution(pcs), pcs_enumerator_poly(pcs)
+    dd, npoly = ringcodes.distance_distribution(pcs), ringcodes.pcs_enumerator_poly(pcs)
     return (f"distance distribution: {list(dd.coeffs)}\nD(x,y) = {dd}\nN(x,y) = {npoly}",
             {"distance_distribution": list(dd.coeffs),
              "system_polynomial": list(npoly.coeffs)})
 
 
 def _enumerator_oracle(pcs, args):
-    hist = oracle_distance_distribution(oracle_code_from_pcs(pcs))
+    hist = ringcodes.oracle_distance_distribution(ringcodes.oracle_code_from_pcs(pcs))
     return f"distance distribution: {hist}", {"distance_distribution": hist}
 
 
@@ -251,7 +237,7 @@ COMMANDS = {
     "validate": Command(
         "check the three system conditions", None, _validate,
         partial(_crosschecked, route=_validate,
-                agrees=lambda pcs: oracle_validate(pcs.h_rows, pcs.s_rows) is None)),
+                agrees=lambda pcs: ringcodes.oracle_validate(pcs.h_rows, pcs.s_rows) is None)),
     "to-code": Command("pcs file -> code file", "pcs", _to_code,
                        partial(_crosschecked, route=_to_code, agrees=_same_words)),
     "to-pcs": Command("code file -> pcs file", "code", _to_pcs,
@@ -259,12 +245,13 @@ COMMANDS = {
     "mindist": Command("minimum distance and a witness", None, _mindist, _mindist_oracle),
     "decode": Command(
         "decode a received word within the unique radius", None,
-        partial(_decode, decoder=decode), partial(_decode, decoder=_oracle_decode),
+        partial(_decode, oracle=False), partial(_decode, oracle=True),
         (("word", {"help": "received word, e.g. '5,2,0,1' or '(1,0),(0,1)'"}),)),
     "kernel": Command("kernel of the code", None, _kernel, _kernel_oracle),
     "islinear": Command(
         "is the code a submodule?", None, lambda pcs, args: _linear(is_linear(pcs)),
-        lambda pcs, args: _linear(oracle_is_linear(oracle_code_from_pcs(pcs)))),
+        lambda pcs, args: _linear(
+            ringcodes.oracle_is_linear(ringcodes.oracle_code_from_pcs(pcs)))),
     "fourier": Command(
         "Fourier coefficients of the code indicator", None,
         partial(_fourier, oracle=False), partial(_fourier, oracle=True),
@@ -322,22 +309,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Failures reported on stderr: the first matching type gives the label and exit code.
-_FAILURES = (
-    (ParseError, "parse error", 3),
-    (BudgetExceeded, "budget exceeded", 4),
-    (PCSValidationError, "invalid system", 2),
-    (DegenerateCode, "degenerate code", 2),
-    (ValueError, "invalid input", 2),
-)
+@cache
+def _failures() -> tuple[tuple[type, str, int], ...]:
+    """Failures reported on stderr: the first matching type gives the label and
+    exit code.  main's except clause calls it only once an exception is raised."""
+    return (
+        (ParseError, "parse error", 3),
+        (BudgetExceeded, "budget exceeded", 4),
+        (PCSValidationError, "invalid system", 2),
+        (ringcodes.DegenerateCode, "degenerate code", 2),
+        (ValueError, "invalid input", 2),
+    )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except tuple(kind for kind, _, _ in _FAILURES) as exc:
-        label, status = next((lb, st) for kind, lb, st in _FAILURES if isinstance(exc, kind))
+    except tuple(kind for kind, _, _ in _failures()) as exc:
+        label, status = next((lb, st) for kind, lb, st in _failures() if isinstance(exc, kind))
         print(f"{label}: {exc}", file=sys.stderr)
         return status
 

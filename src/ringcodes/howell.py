@@ -97,8 +97,8 @@ class HowellForm(Value):
     """
 
     __slots__ = ("modulus", "ncols", "source_rows", "rows", "pivot_cols",
-                 "transform_rows", "kernel_rows", "_rows")
-    __match_args__ = __slots__[:-1]  # _rows is derived from rows and pivot_cols
+                 "transform_rows", "kernel_rows", "_steps")
+    __match_args__ = __slots__[:-1]  # _steps is derived from rows and pivot_cols
 
     def __init__(self, modulus: int, ncols: int, source_rows: int, rows: Rows,
                  pivot_cols: tuple[int, ...], transform_rows: Rows, kernel_rows: Rows):
@@ -109,8 +109,7 @@ class HowellForm(Value):
         self.pivot_cols = pivot_cols
         self.transform_rows = transform_rows
         self.kernel_rows = kernel_rows
-        # per Howell row: its pivot column, pivot, and entries from there on
-        self._rows = tuple((col, row[col], row[col:]) for row, col in zip(rows, pivot_cols))
+        self._steps = None  # the division steps, built by the first divide
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -127,20 +126,14 @@ class HowellForm(Value):
         difference of two rests is a span element with first pivot entry
         strictly between -pivot and pivot, hence 0, and by the Howell
         property the remainder of it is spanned by the later rows.  Entries
-        become Python ints, so nothing overflows, reduced mod t where a
-        quotient reads them and once at the end.
+        become Python ints, so nothing overflows, and the loop is _reduce.
         """
         if len(v) != self.ncols:
             raise ValueError("vector length does not match the ambient space")
-        t, v, coeffs = self.modulus, list(map(int, v)), []
-        for col, p, tail in self._rows:
-            q = v[col] % t // p
-            if q:
-                # a Howell row is zero before its pivot column
-                for i, b in enumerate(tail, col):
-                    v[i] -= q * b
-            coeffs.append(q)
-        return tuple(coeffs), tuple([a % t for a in v])
+        if self._steps is None:
+            self._steps = _flat_steps([self])
+        t, v = self.modulus, list(map(int, v))
+        return tuple(_reduce(self._steps, v)), tuple([a % t for a in v])
 
     def express(self, v) -> Optional[tuple[int, ...]]:
         """Coefficients c with c @ rows = v (mod t), or None if v is outside.
@@ -173,6 +166,30 @@ class HowellForm(Value):
         """All span elements exactly once, coefficient odometer order."""
         for (block,) in span_blocks([self]):
             yield from block
+
+
+def _reduce(steps: Sequence[tuple], v: list[int]) -> list[int]:
+    """The greedy quotients of the int list v by _flat_steps, leaving the rest
+    in v, reduced mod t only where a quotient reads it."""
+    qs = []
+    for col, t, p, tail in steps:
+        q = v[col] % t // p
+        if q:
+            for i, b in tail:
+                v[i] -= q * b
+        qs.append(q)
+    return qs
+
+
+def _flat_steps(forms: Sequence[HowellForm]) -> tuple[tuple, ...]:
+    """Per Howell row of forms, one per ring factor: (pivot index, t, pivot, the
+    nonzero (index, entry) pairs), entry i of factor f of k at index i*k + f."""
+    k = len(forms)
+    return tuple(
+        (col * k + f, hf.modulus, row[col], tuple((i * k + f, b) for i, b in enumerate(row) if b))
+        for f, hf in enumerate(forms)
+        for row, col in zip(hf.rows, hf.pivot_cols)
+    )
 
 
 #: Points per block of span_blocks.

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import chain
-from operator import mul
+from operator import mod, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import rings
-from .howell import HowellForm, howell_rows
+from .howell import HowellForm, _flat_steps, _reduce, howell_rows
 from .reach import SyndromeSpace
 from .rings import (
     RingVec,
@@ -211,19 +211,21 @@ class ParityCheckSystem:
         rows = [(w, row[n:]) for w, hf in zip(weights, self.hs_forms) for row in hf.rows]
         return tuple(tuple(w * part[j] for w, part in rows) for j in range(self.s))
 
+    @cached_property
+    def _division_plan(self) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+        """The _flat_steps of row_module.forms and the modulus of each flat entry."""
+        return _flat_steps(self.row_module.forms), self.spec.factors * self.n
+
     def _quotients(self, x: RingVec) -> Optional[list[int]]:
         """The greedy quotients of x by row_module.forms, factor after factor, or
         None outside the row span.  They are those of [x | 0] by hs_forms,
         whose H part is the same rows."""
-        if x.spec != self.spec or len(x) != self.n:
+        if x.spec is not self.spec and x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
-        qs = []
-        for hf, v in zip(self.row_module.forms, x.components()):
-            q, rest = hf.divide(v)
-            if any(rest):
-                return None
-            qs += q
-        return qs
+        steps, mods = self._division_plan
+        v = [*chain.from_iterable(x.coords)]
+        qs = _reduce(steps, v)
+        return None if any(map(mod, v, mods)) else qs
 
     def s_row(self, x: RingVec) -> Optional[RingVec]:
         """S_x, paired with x in the span of [H | S], or None outside the row span.
@@ -274,9 +276,11 @@ class CodePresentation:
         # equal remainders modulo D mean one coset; name the least such pair
         first: dict[tuple, int] = {}
         clashes = []
+        steps, mods = _flat_steps(kernel.forms), self.spec.factors * self.n
         for j, d in enumerate(self.representatives):
-            key = tuple(hf.divide(c)[1] for hf, c in zip(kernel.forms, d.components()))
-            i = first.setdefault(key, j)
+            v = [*chain.from_iterable(d.coords)]
+            _reduce(steps, v)
+            i = first.setdefault(tuple(map(mod, v, mods)), j)
             if i != j:
                 clashes.append((i, j))
         if clashes:

@@ -6,9 +6,9 @@ FILE holds the Z6 worked system of the tests (the PCS_TEXT of
 test_cli.py).  `import ringcodes` alone loads no submodule.  Importing
 formats and pcs, then parsing, validating and converting the system, loads
 neither numpy nor dataclasses nor the distance, fourier, enumerator and
-oracle modules.  The CLI, the kernel, the linearity test and one
-system-side Fourier coefficient then still load neither numpy nor
-dataclasses.  Needs only the standard library, so it also runs on
+oracle modules, and neither does `ringcodes validate` through cli.main.
+The kernel, the linearity test and one system-side Fourier coefficient
+then still load neither numpy nor dataclasses.  Needs only the standard library, so it also runs on
 interpreters without numpy.  Prints the JSON of `ringcodes validate`.
 """
 
@@ -36,6 +36,7 @@ assert not UNUSED & set(sys.modules), f"loaded {sorted(UNUSED & set(sys.modules)
 from ringcodes import cli  # noqa: E402
 
 assert cli.main(["validate", path, "--json"]) == 0
+assert not UNUSED & set(sys.modules), f"validate loaded {sorted(UNUSED & set(sys.modules))}"
 assert ringcodes.code_to_pcs(pres).s == 3
 assert ringcodes.kernel(system).cardinality and not ringcodes.is_linear(system)
 assert ringcodes.fourier_coeff_pcs(system, system.h_rows[0]).terms

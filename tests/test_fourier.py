@@ -102,6 +102,15 @@ def test_exponent_sum_cancellation_is_zero_numerically():
     assert abs(es.evaluate()) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "order, k, count", [(2, 0, 1), (6, 5, 216), (12, 7, -3), (4292870399, 4292870398, 3)]
+)
+def test_runs_of_one_exponent_is_collect(order, k, count):
+    es = ExponentSum._runs(order, [k], count)
+    assert es == ExponentSum._collect(order, [(k, count)])
+    assert es == ExponentSum._runs(order, [k, k], count) - ExponentSum.root(order, k, count)
+
+
 def test_exponent_sum_guards():
     with pytest.raises(ValueError):
         ExponentSum(4, (1, 0, 0))
@@ -347,13 +356,37 @@ def test_coset_route_never_builds_the_annihilator(z6_pcs, monkeypatch):
     assert fourier_coeff_coset(pres, rv(Z6, (1, 0, 0, 0))).terms == ()
 
 
-@pytest.mark.parametrize(
-    "x", [zero_vec(Z6, 3), zero_vec(Z6, 5), zero_vec(parse_ring("Z2xZ3"), 4)]
-)
+FOREIGN = [zero_vec(Z6, 3), zero_vec(Z6, 5), zero_vec(parse_ring("Z2xZ3"), 4),
+           zero_vec(parse_ring("Z7"), 4)]
+
+
+@pytest.mark.parametrize("x", FOREIGN)
 def test_coset_route_refuses_a_foreign_vector(z6_pcs, x):
     with pytest.raises(ValueError) as exc:
         fourier_coeff_coset(pcs_to_code(z6_pcs), x)
     assert str(exc.value) == "vector does not live in the ambient space"
+
+
+@pytest.mark.parametrize("x", FOREIGN)
+@pytest.mark.parametrize("query", [fourier_coeff_pcs, ParityCheckSystem.s_row])
+def test_system_route_refuses_a_foreign_vector(z6_pcs, query, x):
+    with pytest.raises(ValueError) as exc:
+        query(z6_pcs, x)
+    assert str(exc.value) == "vector does not match the system's ambient space"
+
+
+def test_both_routes_accept_an_equal_but_distinct_ring(z6_pcs, z6_pres):
+    twin = parse_ring("Z6")
+    assert twin == Z6 and twin is not Z6 and z6_pcs.spec is Z6
+    for x, value in Z6_FOURIER_TABLE.items():
+        y = RingVec(twin, rv(Z6, x).coords)
+        es = fourier_coeff_pcs(z6_pcs, y)
+        assert es == fourier_coeff_pcs(z6_pcs, rv(Z6, x)) == fourier_coeff_coset(z6_pres, y)
+        assert es.evaluate() == pytest.approx(value, abs=1e-9)
+        assert z6_pcs.s_row(y) == z6_pcs.s_row(rv(Z6, x))
+    off_span = RingVec(twin, rv(Z6, (1, 0, 0, 0)).coords)
+    assert fourier_coeff_pcs(z6_pcs, off_span).terms == ()
+    assert fourier_coeff_coset(z6_pres, off_span).terms == ()
 
 
 def test_evaluate_keeps_no_table_of_roots():
@@ -406,6 +439,47 @@ def _large_system(ring, seed):
     return validate_pcs(h, [RingVec.of(spec, [dot(r, d) for d in reps]) for r in h])
 
 
+def _row_combination(rng, pcs):
+    """A random r H, in the row span whatever its size."""
+    x = zero_vec(pcs.spec, pcs.n)
+    for h in pcs.h_rows:
+        x = vec_add(x, scale(pcs.spec.elem([rng.randrange(t) for t in pcs.spec.factors]), h))
+    return x
+
+
+def _per_factor_quotients(pcs, x):
+    """The quotients of x the plain way: one divide per factor of row_module.forms."""
+    qs = []
+    for hf, xs in zip(pcs.row_module.forms, x.components()):
+        q, rest = hf.divide(xs)
+        if any(rest):
+            return None
+        qs += q
+    return qs
+
+
+def test_flat_division_plan_matches_per_factor_divide():
+    rng = random.Random(1616)
+    systems = [random_instance(rng, rings=[ring], space_cap=800)[0]
+               for ring in PROPERTY_RINGS + OUTSIDE_RINGS for _ in range(6)]
+    systems += [_large_system("Z2147483629", 3), _large_system("Z65521xZ65519", 4)]
+    non_unit_pivots, inside, outside = set(), 0, 0
+    for pcs in systems:
+        if any(p != 1 for hf in pcs.row_module.forms for p in hf.pivots):
+            non_unit_pivots.add(str(pcs.spec))
+        points = [random_vec(rng, pcs.spec, pcs.n) for _ in range(10)]
+        points += [_row_combination(rng, pcs) for _ in range(10)]
+        for x in points:
+            want = _per_factor_quotients(pcs, x)
+            qs = pcs._quotients(x)
+            assert qs == want
+            assert qs is None or all(type(q) is int for q in qs)
+            inside += want is not None
+            outside += want is None
+    assert {"Z4", "Z8", "Z2xZ4", "Z3xZ4"} <= non_unit_pivots
+    assert inside and outside
+
+
 def test_s_row_and_system_route_match_full_width_division():
     rng = random.Random(5150)
     systems = [random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)[0]
@@ -417,12 +491,7 @@ def test_s_row_and_system_route_match_full_width_division():
     inside = outside = 0
     for pcs in systems + zero_h + large:
         points = [random_vec(rng, pcs.spec, pcs.n) for _ in range(10)]
-        # row combinations r H lie in the row span, whatever its size
-        for _ in range(10):
-            x = zero_vec(pcs.spec, pcs.n)
-            for h in pcs.h_rows:
-                x = vec_add(x, scale(pcs.spec.elem([rng.randrange(t) for t in pcs.spec.factors]), h))
-            points.append(x)
+        points += [_row_combination(rng, pcs) for _ in range(10)]
         for x in points:
             want = _divided_s_row(pcs, x)
             assert pcs.s_row(x) == want

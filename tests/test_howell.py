@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from ringcodes.howell import (
+    _flat_steps,
+    _reduce,
     annihilator_generator,
     ext_gcd,
     howell_form,
@@ -323,3 +325,31 @@ def test_divide_leaves_one_remainder_per_coset():
             assert hf.divide([a + b for a, b in zip(v, shift)])[1] == rest
             w = [rng.randrange(t) for _ in range(n)]
             assert (hf.divide(w)[1] == rest) == hf.contains([a - b for a, b in zip(v, w)])
+
+
+def test_flat_steps_divide_every_factor_at_once():
+    """_reduce over _flat_steps of one form per factor, on interleaved residues
+    (entry i of factor f at i*k + f), is each factor's divide: the quotients
+    factor after factor, the rests interleaved before reduction mod t."""
+    rng = random.Random(3131)
+    non_unit = 0
+    for moduli in [(4,), (8,), (2, 4), (3, 4), (6, 9, 8), (2147483629,), (65521, 65519)]:
+        k = len(moduli)
+        for _ in range(12):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            forms = [howell_form([[rng.randrange(t) for _ in range(n)] for _ in range(m)], t)
+                     for t in moduli]
+            non_unit += sum(p != 1 for hf in forms for p in hf.pivots)
+            comps = [[rng.randrange(t) for _ in range(n)] for t in moduli]
+            for f, hf in enumerate(forms):
+                if rng.random() < 0.5:  # a span element, so its rest is zero
+                    comps[f] = list(combine([rng.randrange(t) for t in hf.pivots], hf.rows,
+                                            hf.modulus, n))
+            v = [comps[f][i] for i in range(n) for f in range(k)]
+            qs = _reduce(_flat_steps(forms), v)
+            want = [hf.divide(c) for hf, c in zip(forms, comps)]
+            assert qs == [q for coeffs, _ in want for q in coeffs]
+            assert [a % moduli[j % k] for j, a in enumerate(v)] == [
+                want[f][1][i] for i in range(n) for f in range(k)
+            ]
+    assert non_unit
