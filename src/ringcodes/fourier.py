@@ -192,25 +192,25 @@ def fourier_coeff_coset(pres: CodePresentation, x: RingVec) -> ExponentSum:
     """Fourier coefficient of the code's indicator from its coset presentation.
 
     Supported exactly on the dual of D, where it equals
-    |D| * sum_j zeta^(-eps(x . d_j)).  Each exponent eps(x . d_j) is one
-    integer dot product of x's flattened residues with the cached
-    pres.character_rows[j].
+    |D| * sum_j zeta^(-eps(x . d_j)).  One multiply-accumulate per pack of
+    pres._coset_plan gives x . g for the Howell rows g of D, which generate
+    D, and each eps(x . d_j) before its reduction mod L.
     """
     spec = pres.spec
     if x.spec is not spec and x.spec != spec or len(x) != pres.n:
         raise ValueError("vector does not live in the ambient space")
-    L, k = spec.char_order, spec.nfactors
+    L = spec.char_order
+    packs, fields, mask = pres._coset_plan
     flat = [*chain.from_iterable(x.coords)]
-    # x is in the dual of D when x . g = 0 for the Howell rows g of each factor f,
-    # on x's residues flat[f::k]; loops, as for exps, beat any() on Python 3.11
-    for f, hf in enumerate(pres.kernel.forms):
-        xs, t = flat[f::k], hf.modulus
-        for g in hf.rows:
-            if sum(map(mul, g, xs)) % t:
-                return ExponentSum.zero(L)
     exps = []
-    for row in pres.character_rows:
-        exps.append(-sum(map(mul, flat, row)) % L)
+    for packed, offsets in packs:
+        acc = sum(map(mul, flat, packed))
+        # D's Howell rows lead the first pack only; a loop beats any() on 3.11
+        for b, t in fields:
+            if (acc >> b & mask) % t:
+                return ExponentSum.zero(L)
+        fields = ()
+        exps += [-(acc >> b & mask) % L for b in offsets]
     return ExponentSum._runs(L, exps, pres.kernel.cardinality)
 
 

@@ -20,11 +20,10 @@ import math
 from functools import cached_property
 from itertools import chain
 from operator import mod, mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from . import rings
 from .howell import HowellForm, _flat_steps, _reduce, howell_rows
-from .reach import SyndromeSpace
 from .rings import (
     RingVec,
     check_budget,
@@ -35,6 +34,9 @@ from .rings import (
     zero_vec,
 )
 from .submodules import Submodule, left_kernel, solve_forms, transpose_forms
+
+if TYPE_CHECKING:
+    from .reach import SyndromeSpace
 
 
 class PCSValidationError(Exception):
@@ -109,8 +111,6 @@ class ParityCheckSystem:
             for j, entry in enumerate(s.coords, 1):
                 if any(a % g for a, g in zip(entry, gcds)):
                     raise ConditionIViolation(i, j)
-        # per-factor rows of H as plain integers, for syndromes
-        self._h_ints = tuple(zip(*(row.components() for row in self.h_rows)))
         self.s_cols = tuple(
             RingVec(spec, tuple(r.coords[j] for r in self.s_rows))
             for j in range(self.s)
@@ -146,18 +146,31 @@ class ParityCheckSystem:
 
     def syndrome_space(self) -> Optional[SyndromeSpace]:
         """The cached reachability tables, or None above DEFAULT_BUDGET bytes."""
+        from .reach import SyndromeSpace
+
         if SyndromeSpace.nbytes(self.spec, self.m, self.n) > rings.DEFAULT_BUDGET:
             return None
         if self._syndrome_space is None:
             self._syndrome_space = SyndromeSpace(self.spec, self.h_rows)
         return self._syndrome_space
 
+    @cached_property
+    def _syndrome_plan(self) -> tuple[list[int], list[tuple[int, int]], int]:
+        """H packed by _pack, the (offset, t) of each entry of the flat key, the mask."""
+        k, factors = self.spec.nfactors, self.spec.factors
+        rows = [[a if g == f else 0 for a in h.component(f) for g in range(k)]
+                for f in range(k) for h in self.h_rows]
+        width = (self.n * (max(factors) - 1) ** 2).bit_length()
+        fields = [(width * e, t) for e, t in enumerate(t for t in factors for _ in self.h_rows)]
+        return _pack(rows, width), fields, (1 << width) - 1
+
     def _flat_syndrome(self, x: RingVec) -> tuple[int, ...]:
         """H x^T as the plain ints _key gives it: factor by factor, row by row."""
-        if x.spec != self.spec or len(x) != self.n:
+        if x.spec is not self.spec and x.spec != self.spec or len(x) != self.n:
             raise ValueError("vector does not match the system's ambient space")
-        parts = zip(self._h_ints, x.components(), self.spec.factors)
-        return tuple([sum(map(mul, row, xs)) % t for rows, xs, t in parts for row in rows])
+        packed, fields, mask = self._syndrome_plan
+        acc = sum(map(mul, chain.from_iterable(x.coords), packed))
+        return tuple([(acc >> b & mask) % t for b, t in fields])
 
     def syndrome(self, x: RingVec) -> RingVec:
         blocks = zip(*[iter(self._flat_syndrome(x))] * self.m)  # one per factor
@@ -288,17 +301,25 @@ class CodePresentation:
             raise ValueError(f"representatives {i + 1} and {j + 1} present the same coset")
 
     @cached_property
-    def character_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per representative d, its flattened residues d_(i,f) * L / t_f.
-
-        With L = lcm(t_f), the generating character sends x . d to zeta_L^e
-        with e = sum over (i, f) of x_(i,f) * row_(i,f), taken mod L.
-        """
-        weights = self.spec.character_weights
-        return tuple(
-            tuple(a * w for coord in d.coords for a, w in zip(coord, weights))
-            for d in self.representatives
-        )
+    def _coset_plan(self) -> tuple[list[tuple[list[int], range]], list[tuple[int, int]], int]:
+        """The rows of fourier_coeff_coset packed by _pack: D's Howell rows, with
+        their (offset, t_f) fields, then per representative d its flat residues
+        times L / t_f, 64 to a pack so that no field sits far up a long int,
+        each pack with its exponent offsets; the largest field, an exponent
+        before reduction mod L, is n sum_f (t_f - 1)^2 L / t_f, and sizes all."""
+        spec, k = self.spec, self.spec.nfactors
+        forms, weights = self.kernel.forms, spec.character_weights
+        tests = [[a if g == f else 0 for a in row for g in range(k)]
+                 for f, hf in enumerate(forms) for row in hf.rows]
+        exps = [[a * w for c in d.coords for a, w in zip(c, weights)] for d in self.representatives]
+        width = (self.n * sum((t - 1) ** 2 * w for t, w in zip(spec.factors, weights))).bit_length()
+        fields = [(width * e, hf.modulus) for e, hf in enumerate(hf for hf in forms for _ in hf.rows)]
+        packs, head = [], tests
+        for i in range(0, len(exps), 64):
+            rows = head + exps[i:i + 64]
+            packs.append((_pack(rows, width), range(width * len(head), width * len(rows), width)))
+            head = []
+        return packs, fields, (1 << width) - 1
 
     @property
     def s(self) -> int:
@@ -360,6 +381,13 @@ def pcs_to_code(pcs: ParityCheckSystem) -> CodePresentation:
             )
         reps.append(x)
     return CodePresentation(pcs.kernel_module, tuple(reps))
+
+
+def _pack(rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """Entry p is sum_e rows[e][p] << width*e, so sum(map(mul, v, packed)) holds
+    v . rows[e] in bits [width*e, width*(e+1)): exact while entries are
+    non-negative and every such product stays below 2**width."""
+    return [sum(a << width * e for e, a in enumerate(col)) for col in zip(*rows)]
 
 
 def _key(v: RingVec) -> tuple[int, ...]:

@@ -202,7 +202,12 @@ class RingElem(Value):
 
 
 class RingVec(Value):
-    """A vector over a RingSpec ring; coords[i] is coordinate i's residue tuple."""
+    """A vector over a RingSpec ring; coords[i] is coordinate i's residue tuple.
+
+    Every residue is a Python int with 0 <= coords[i][f] < t_f, which the
+    packed kernels of pcs.py rely on.  The public builders all reduce; the
+    raw constructor RingVec(spec, coords) checks nothing and trusts its caller.
+    """
 
     __slots__ = __match_args__ = ("spec", "coords")
 

@@ -5,8 +5,8 @@
 FILE holds the Z6 worked system of the tests (the PCS_TEXT of
 test_cli.py).  `import ringcodes` alone loads no submodule.  Importing
 formats and pcs, then parsing, validating and converting the system, loads
-neither numpy nor dataclasses nor the distance, fourier, enumerator and
-oracle modules, and neither does `ringcodes validate` through cli.main.
+neither numpy nor dataclasses nor the distance, reach, fourier, enumerator
+and oracle modules, and neither does `ringcodes validate` through cli.main.
 The kernel, the linearity test and one system-side Fourier coefficient
 then still load neither numpy nor dataclasses.  Needs only the standard library, so it also runs on
 interpreters without numpy.  Prints the JSON of `ringcodes validate`.
@@ -22,7 +22,8 @@ from ringcodes import formats, pcs  # noqa: E402
 
 UNUSED = {
     "dataclasses", "numpy",
-    "ringcodes.distance", "ringcodes.fourier", "ringcodes.enumerator", "ringcodes.oracle",
+    "ringcodes.distance", "ringcodes.reach", "ringcodes.fourier", "ringcodes.enumerator",
+    "ringcodes.oracle",
 }
 
 path = sys.argv[1]

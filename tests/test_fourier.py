@@ -602,3 +602,52 @@ def test_poisson_budget_gate(monkeypatch):
     monkeypatch.setattr("ringcodes.rings.DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
         poisson_sum(pres, lambda v: 1.0)
+
+
+@pytest.mark.parametrize("ring", ["Z2147483629", "Z65521xZ65519", "Z2xZ2147483629"])
+@pytest.mark.parametrize("n", [1, 64])
+def test_coset_coefficient_is_exact_at_the_packed_field_width(ring, n):
+    """x and a representative with every residue at t - 1 make an exponent
+    field hold n sum_f (t_f - 1)^2 L / t_f before its reduction mod L; D's
+    rows, mostly t - 1 too, annihilate x, so the coefficient is nonzero."""
+    spec = parse_ring(ring)
+    L, weights = spec.char_order, spec.character_weights
+    top = tuple(t - 1 for t in spec.factors)
+    x = rv(spec, [top] * n)
+    # g = (1, t-1, ..., t-1, c) per factor with sum 0 mod t, so x . g = 0
+    gens = []
+    if n > 1:
+        last = tuple(-(1 + (n - 2) * (t - 1)) % t for t in spec.factors)
+        gens.append(rv(spec, [(1,) * spec.nfactors] + [top] * (n - 2) + [last]))
+    kernel = Submodule.from_generators(spec, n, gens or [zero_vec(spec, n)])
+    reps = [zero_vec(spec, n), x, rv(spec, [top] * (n - 1) + [(1,) * spec.nfactors])]
+    pres = CodePresentation(kernel, reps)
+    counts = {}
+    for d in reps:
+        e = sum(a * b * w for cx, cd in zip(x.coords, d.coords)
+                for a, b, w in zip(cx, cd, weights))
+        counts[-e % L] = counts.get(-e % L, 0) + kernel.cardinality
+    coeff = fourier_coeff_coset(pres, x)
+    assert coeff.terms == tuple(sorted((k, c) for k, c in counts.items() if c))
+    # outside the dual of D the coefficient vanishes
+    if n > 1:
+        y = rv(spec, [top] * (n - 1) + [(0,) * spec.nfactors])
+        assert any(dot(y, g).residues != (0,) * spec.nfactors for g in gens)
+        assert fourier_coeff_coset(pres, y).terms == ()
+
+
+def test_coset_route_reads_every_pack_of_many_representatives():
+    """150 representatives fill three packs of the coset route; both routes
+    still agree on the whole dual of D, and vanish just outside it."""
+    spec = parse_ring("Z7")
+    kernel = Submodule.from_generators(spec, 4, [rv(spec, [1, 1, 1, 1])])
+    rng = random.Random(150)
+    reps = [rv(spec, [*abc, 0]) for abc in rng.sample([(a, b, c) for a in range(7)
+                                                      for b in range(7) for c in range(7)], 150)]
+    pres = CodePresentation(kernel, reps)
+    pcs = code_to_pcs(pres)
+    for x in pres.dual_module().enumerate():
+        coeff = fourier_coeff_coset(pres, x)
+        assert coeff == fourier_coeff_pcs(pcs, x)
+        assert sum(c for _, c in coeff.terms) == pres.cardinality
+    assert fourier_coeff_coset(pres, rv(spec, [1, 0, 0, 0])).terms == ()

@@ -529,3 +529,24 @@ def test_trivial_check_matrix_accepts_everything():
 def test_repr_smoke(z6_pcs):
     assert "Z6" in repr(z6_pcs)
     assert "216" in repr(pcs_to_code(z6_pcs))
+
+
+@pytest.mark.parametrize("ring", ["Z2147483629", "Z65521xZ65519", "Z2xZ2147483629"])
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("m", [1, 6])
+def test_syndromes_are_exact_at_the_packed_field_width(ring, n, m):
+    """Every residue of H and x at t - 1 makes each syndrome entry before
+    reduction n (t - 1)^2, the largest a packed field must hold."""
+    spec = parse_ring(ring)
+    top = tuple(t - 1 for t in spec.factors)
+    x = rv(spec, [top] * n)
+    h_rows = [x] * m
+    # plain-int H x^T, one entry per row and factor
+    sigma = tuple(sum(a * b for a, b in zip(x.component(f), x.component(f))) % t
+                  for f, t in enumerate(spec.factors))
+    values = list(dict.fromkeys([(0,) * spec.nfactors, top, sigma]))
+    system = ParityCheckSystem(h_rows, [rv(spec, values)] * m)
+    assert system.syndrome(x) == rv(spec, [sigma] * m)
+    assert member(system, x) == values.index(sigma) + 1
+    assert pcsmod.syndrome_filter(system, [rv(spec, [sigma] * m)])(x)
+    assert not pcsmod.syndrome_filter(system, [rv(spec, [(0,) * spec.nfactors] * m)])(x)

@@ -9,17 +9,20 @@ from ringcodes import (
     RingElem,
     RingSpec,
     RingVec,
+    Submodule,
     dot,
     enumerate_vectors,
     from_components,
     hamming,
     parse_ring,
+    parse_vector_literal,
     scale,
     support,
     vec_add,
     vec_neg,
     vec_sub,
     weight,
+    weight_shell,
     zero_vec,
 )
 from conftest import random_vec
@@ -192,3 +195,45 @@ def test_ring_elem_requires_matching_spec():
     b = parse_ring("Z4").elem(1)
     with pytest.raises(ValueError):
         _ = a + b
+
+
+def _reduced(v: RingVec) -> bool:
+    """Every residue of v is a Python int in [0, t_f), one per factor."""
+    fac = v.spec.factors
+    return all(
+        len(c) == len(fac) and all(type(a) is int and 0 <= a < t for a, t in zip(c, fac))
+        for c in v.coords
+    )
+
+
+@pytest.mark.parametrize("ring", ["Z6", "Z4xZ9", "Z2xZ2147483629"])
+def test_every_builder_returns_reduced_int_residues(ring):
+    spec = parse_ring(ring)
+    rng = random.Random(ring)
+    fac = spec.factors
+    wide = [tuple(rng.randrange(-3 * t, 3 * t) for t in fac) for _ in range(4)]
+    x = RingVec.of(spec, wide)
+    y = RingVec.of(spec, [rng.randrange(-100, 100) for _ in range(4)])
+    z = RingVec.of(spec, [spec.elem(c) for c in wide])
+    r = spec.elem(tuple(rng.randrange(-50, 50) for _ in fac))
+    comps = [[rng.randrange(-2 * t, 2 * t) for _ in range(4)] for t in fac]
+    literal = ",".join(
+        str(c[0]) if len(fac) == 1 else "(" + ",".join(map(str, c)) + ")" for c in wide
+    )
+    # (1, 0, ...) and (-1, 0, ...) in factor 0 only: a span of t_0^2 vectors
+    e0 = spec.elem(tuple(int(f == 0) for f in range(len(fac))))
+    span = Submodule.from_generators(spec, 2, [RingVec.of(spec, [e0, 0]), RingVec.of(spec, [0, -e0])])
+    built = [
+        x, y, z,
+        from_components(spec, comps),
+        parse_vector_literal(spec, literal),
+        vec_add(x, y), vec_sub(x, y), vec_sub(y, x), vec_neg(x),
+        scale(r, x), scale(spec.elem(-1), y),
+        zero_vec(spec, 3),
+        *span.enumerate(),
+    ]
+    assert x == z and parse_vector_literal(spec, literal) == x
+    assert all(map(_reduced, built))
+    # a weight shell lists spec.nonzero_residues(), |R| - 1 of them
+    if spec.cardinality <= 10**3:
+        assert all(_reduced(v) for w in range(3) for v in weight_shell(spec, 3, w))
