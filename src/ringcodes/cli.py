@@ -214,7 +214,9 @@ def _fourier(pcs, args, oracle: bool):
 
 
 def _enumerator(pcs, args):
-    dd, npoly = ringcodes.distance_distribution(pcs), ringcodes.pcs_enumerator_poly(pcs)
+    npoly, q = ringcodes.pcs_enumerator_poly(pcs), pcs.spec.cardinality
+    # distance_distribution's transform of N, without walking the row span again
+    dd = ringcodes.macwilliams_transform(npoly, q, q**pcs.n)
     return (f"distance distribution: {list(dd.coeffs)}\nD(x,y) = {dd}\nN(x,y) = {npoly}",
             {"distance_distribution": list(dd.coeffs),
              "system_polynomial": list(npoly.coeffs)})

@@ -60,29 +60,32 @@ class DecodeResult(Value):
 
 
 def sdiff(pcs: ParityCheckSystem) -> tuple[RingVec, ...]:
-    """Ordered-pair column differences (k < l) plus zero, sorted by coords."""
+    """Ordered-pair column differences (k < l) plus zero, sorted by residues."""
     cols = pcs.s_cols
     check_budget(len(cols) * (len(cols) - 1) // 2, "column differences", "pairs")
     out = {zero_vec(pcs.spec, pcs.m)}
     for k in range(len(cols)):
         for l in range(k + 1, len(cols)):
             out.add(vec_sub(cols[l], cols[k]))
-    return tuple(sorted(out, key=lambda v: v.coords))
+    return tuple(sorted(out, key=lambda v: v.flat))
 
 
 def weight_shell(spec: RingSpec, n: int, w: int) -> Iterator[RingVec]:
-    """All weight-w vectors: supports lexicographic, values in nonzero_residues order."""
+    """All weight-w vectors: supports lexicographic, values in nonzero_residues
+    order.  Raises BudgetExceeded before listing anything if the shell is too large."""
     if w == 0:
         yield zero_vec(spec, n)
         return
-    zero = (0,) * spec.nfactors
+    check_budget(math.comb(n, w) * (spec.cardinality - 1) ** w, "weight shell")
+    k = spec.nfactors
     nonzero = spec.nonzero_residues()
     for supp in combinations(range(n), w):
+        flat = [0] * (n * k)  # every value overwrites the same w slots
+        slots = [slice(pos * k, pos * k + k) for pos in supp]
         for values in product(nonzero, repeat=w):
-            coords = [zero] * n
-            for pos, val in zip(supp, values):
-                coords[pos] = val
-            yield RingVec(spec, tuple(coords))
+            for slot, val in zip(slots, values):
+                flat[slot] = val
+            yield RingVec._of(spec, tuple(flat))
 
 
 def min_distance_witness(pcs: ParityCheckSystem) -> tuple[int, RingVec]:

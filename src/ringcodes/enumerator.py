@@ -127,11 +127,13 @@ def _weight_bins(pcs: ParityCheckSystem) -> list[int]:
     pairs: dict = {}  # gcd(e_l - e_j, L) -> number of (h, j, l) per weight
     for block in span_blocks(pcs.hs_forms):
         w = _weights(block, n)
+        # the s pairs j = l have gcd L; gcd(-d, L) = gcd(d, L) counts l < j as j < l
+        pairs[L] = pairs.get(L, 0) + pcs.s * np.bincount(w, minlength=n + 1)
+        if pcs.s == 1:
+            continue  # no pair j < l reads the exponents
         e = np.zeros((len(w), pcs.s), dtype=dtype)
         for part, cw in zip(block, spec.character_weights):
             e = (e + part[:, n:].astype(dtype) * cw) % L
-        # the s pairs j = l have gcd L; gcd(-d, L) = gcd(d, L) counts l < j as j < l
-        pairs[L] = pairs.get(L, 0) + pcs.s * np.bincount(w, minlength=n + 1)
         for j in range(pcs.s - 1):
             # index the gcds that occur, then count (index, weight) in one array
             g, inv = np.unique(np.gcd(e[:, j + 1 :] - e[:, j : j + 1], L), return_inverse=True)

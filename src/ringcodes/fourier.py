@@ -197,14 +197,13 @@ def fourier_coeff_coset(pres: CodePresentation, x: RingVec) -> ExponentSum:
     D, and each eps(x . d_j) before its reduction mod L.
     """
     spec = pres.spec
-    if x.spec is not spec and x.spec != spec or len(x) != pres.n:
+    packs, fields, mask = pres._coset_plan
+    if x.spec is not spec and x.spec != spec or len(x.flat) != len(packs[0][0]):
         raise ValueError("vector does not live in the ambient space")
     L = spec.char_order
-    packs, fields, mask = pres._coset_plan
-    flat = [*chain.from_iterable(x.coords)]
     exps = []
     for packed, offsets in packs:
-        acc = sum(map(mul, flat, packed))
+        acc = sum(map(mul, x.flat, packed))
         # D's Howell rows lead the first pack only; a loop beats any() on 3.11
         for b, t in fields:
             if (acc >> b & mask) % t:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain
+from itertools import chain, cycle
 from operator import mod, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -111,9 +111,10 @@ class ParityCheckSystem:
             for j, entry in enumerate(s.coords, 1):
                 if any(a % g for a, g in zip(entry, gcds)):
                     raise ConditionIViolation(i, j)
+        k = spec.nfactors
         self.s_cols = tuple(
-            RingVec(spec, tuple(r.coords[j] for r in self.s_rows))
-            for j in range(self.s)
+            RingVec._of(spec, tuple([a for r in self.s_rows for a in r.flat[j:j + k]]))
+            for j in range(0, k * self.s, k)
         )
         # (ii): distinct columns; flat syndrome key -> 1-based column index,
         # the whole of member()
@@ -166,15 +167,15 @@ class ParityCheckSystem:
 
     def _flat_syndrome(self, x: RingVec) -> tuple[int, ...]:
         """H x^T as the plain ints _key gives it: factor by factor, row by row."""
-        if x.spec is not self.spec and x.spec != self.spec or len(x) != self.n:
-            raise ValueError("vector does not match the system's ambient space")
         packed, fields, mask = self._syndrome_plan
-        acc = sum(map(mul, chain.from_iterable(x.coords), packed))
+        if x.spec is not self.spec and x.spec != self.spec or len(x.flat) != len(packed):
+            raise ValueError("vector does not match the system's ambient space")
+        acc = sum(map(mul, x.flat, packed))
         return tuple([(acc >> b & mask) % t for b, t in fields])
 
     def syndrome(self, x: RingVec) -> RingVec:
         blocks = zip(*[iter(self._flat_syndrome(x))] * self.m)  # one per factor
-        return RingVec(self.spec, tuple(zip(*blocks)))
+        return RingVec._of(self.spec, tuple(chain.from_iterable(zip(*blocks))))
 
     @cached_property
     def ht_forms(self) -> tuple[HowellForm, ...]:
@@ -233,10 +234,10 @@ class ParityCheckSystem:
         """The greedy quotients of x by row_module.forms, factor after factor, or
         None outside the row span.  They are those of [x | 0] by hs_forms,
         whose H part is the same rows."""
-        if x.spec is not self.spec and x.spec != self.spec or len(x) != self.n:
-            raise ValueError("vector does not match the system's ambient space")
         steps, mods = self._division_plan
-        v = [*chain.from_iterable(x.coords)]
+        if x.spec is not self.spec and x.spec != self.spec or len(x.flat) != len(mods):
+            raise ValueError("vector does not match the system's ambient space")
+        v = [*x.flat]
         qs = _reduce(steps, v)
         return None if any(map(mod, v, mods)) else qs
 
@@ -255,7 +256,7 @@ class ParityCheckSystem:
         for hf in self.hs_forms:
             rows = [(q, row[self.n :]) for row, q in zip(hf.rows, it)]
             parts.append([sum(q * part[j] for q, part in rows) % hf.modulus for j in range(self.s)])
-        return RingVec(self.spec, tuple(zip(*parts)))
+        return RingVec._of(self.spec, tuple(chain.from_iterable(zip(*parts))))
 
     def code_cardinality(self) -> int:
         return self.s * self.kernel_cardinality
@@ -291,7 +292,7 @@ class CodePresentation:
         clashes = []
         steps, mods = _flat_steps(kernel.forms), self.spec.factors * self.n
         for j, d in enumerate(self.representatives):
-            v = [*chain.from_iterable(d.coords)]
+            v = [*d.flat]
             _reduce(steps, v)
             i = first.setdefault(tuple(map(mod, v, mods)), j)
             if i != j:
@@ -311,7 +312,7 @@ class CodePresentation:
         forms, weights = self.kernel.forms, spec.character_weights
         tests = [[a if g == f else 0 for a in row for g in range(k)]
                  for f, hf in enumerate(forms) for row in hf.rows]
-        exps = [[a * w for c in d.coords for a, w in zip(c, weights)] for d in self.representatives]
+        exps = [list(map(mul, d.flat, cycle(weights))) for d in self.representatives]
         width = (self.n * sum((t - 1) ** 2 * w for t, w in zip(spec.factors, weights))).bit_length()
         fields = [(width * e, hf.modulus) for e, hf in enumerate(hf for hf in forms for _ in hf.rows)]
         packs, head = [], tests

@@ -19,6 +19,7 @@ this prefix still be completed" question into a lookup or an AND.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable, Sequence
 
 from .rings import RingSpec, RingVec
@@ -37,6 +38,7 @@ class SyndromeSpace:
         self.spec = spec
         self.n = len(h_rows[0])
         self.nonzero = spec.nonzero_residues()
+        k = spec.nfactors
         radices = spec.factors * len(h_rows)
         self.size = math.prod(radices)
         self.strides = [math.prod(radices[a + 1:]) for a in range(len(radices))]
@@ -47,7 +49,7 @@ class SyndromeSpace:
         for j in range(self.n):
             # residues of v*h_j on every axis, one row per nonzero value v
             shifts = np.array(
-                [[v[f] * row.coords[j][f] % t
+                [[v[f] * row.flat[j * k + f] % t
                   for row in h_rows for f, t in enumerate(spec.factors)]
                  for v in self.nonzero],
                 dtype=np.int32,
@@ -68,10 +70,7 @@ class SyndromeSpace:
         return q**m * (4 * n * (q - 1) + 2 * (n + 1) ** 2)
 
     def index(self, v: RingVec) -> int:
-        return sum(
-            c * st
-            for c, st in zip((c for coord in v.coords for c in coord), self.strides)
-        )
+        return sum(map(mul, v.flat, self.strides))
 
     def table(self, seeds: Iterable[RingVec]) -> "ReachTable":
         """The reach table seeded with these syndromes, cached per seed set."""
@@ -147,12 +146,13 @@ class ReachTable:
         for j in reversed(support[1:]):
             fixed.append(fixed[-1][gathers[j]].any(axis=0))
         fixed.reverse()
-        coords = [(0,) * space.spec.nfactors] * n
+        k = space.spec.nfactors
+        flat = [0] * (n * k)
         for l, j in enumerate(support):
             cands = gathers[j][:, rho]
             a = int(np.argmax(fixed[l][cands]))
             if not fixed[l][cands[a]]:
                 raise AssertionError("no value completes the chosen support")
-            coords[j] = space.nonzero[a]
+            flat[j * k:j * k + k] = space.nonzero[a]
             rho = int(cands[a])
-        return RingVec(space.spec, tuple(coords))
+        return RingVec._of(space.spec, tuple(flat))

@@ -3,7 +3,8 @@
 The ambient ring is R = Z_t1 x ... x Z_tk with componentwise operations.
 The factors are arbitrary moduli >= 2; they are deliberately not collapsed
 via CRT, so Z2xZ2 and Z4 are distinct rings with distinct module theory.
-Elements are stored as reduced residue tuples, one residue per factor.
+Elements are stored as reduced residue tuples, one residue per factor, and
+a vector as one flat tuple of them, coordinate after coordinate.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from itertools import product
+from itertools import cycle, product
 from typing import Iterable, Iterator, Sequence, Union
 
 #: Largest modulus accepted for a single factor.  Keeping moduli below 2**31
@@ -202,23 +203,37 @@ class RingElem(Value):
 
 
 class RingVec(Value):
-    """A vector over a RingSpec ring; coords[i] is coordinate i's residue tuple.
+    """A vector over a RingSpec ring: flat[i*k + f] is coordinate i's factor-f residue.
 
-    Every residue is a Python int with 0 <= coords[i][f] < t_f, which the
-    packed kernels of pcs.py rely on.  The public builders all reduce; the
-    raw constructor RingVec(spec, coords) checks nothing and trusts its caller.
+    coords rebuilds the per-coordinate tuples (the field of hash and repr).
+    Every residue is a Python int with 0 <= residue < t_f, which the packed
+    kernels of pcs.py rely on.  The public builders all reduce; the raw
+    constructor RingVec(spec, coords) flattens coords and checks nothing.
     """
 
-    __slots__ = __match_args__ = ("spec", "coords")
+    __slots__ = ("spec", "flat")
+    __match_args__ = ("spec", "coords")
 
-    def __init__(self, spec: RingSpec, coords: tuple[tuple[int, ...], ...]):
+    def __init__(self, spec: RingSpec, coords: Iterable[Iterable[int]]):
         self.spec = spec
-        self.coords = coords
+        self.flat = tuple([a for c in coords for a in c])
+
+    @staticmethod
+    def _of(spec: RingSpec, flat: tuple[int, ...]) -> "RingVec":
+        """A vector of already flat, reduced residues, without copying them."""
+        v = object.__new__(RingVec)
+        v.spec = spec
+        v.flat = flat
+        return v
+
+    @property
+    def coords(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*[iter(self.flat)] * len(self.spec.factors)))
 
     def __eq__(self, other):
         if other.__class__ is not RingVec:
             return NotImplemented
-        return self.coords == other.coords and (self.spec is other.spec or self.spec == other.spec)
+        return self.flat == other.flat and (self.spec is other.spec or self.spec == other.spec)
 
     def __hash__(self) -> int:
         return hash((self.spec, self.coords))
@@ -226,21 +241,23 @@ class RingVec(Value):
     @classmethod
     def of(cls, spec: RingSpec, items: Iterable) -> "RingVec":
         """Build a vector from integers, residue tuples, or RingElem entries."""
-        coords = []
+        flat: list[int] = []
         for item in items:
             if isinstance(item, RingElem):
                 if item.spec != spec:
                     raise ValueError("entry from a different ring")
-                coords.append(item.residues)
+                flat += item.residues
             else:
-                coords.append(spec.elem(item).residues)
-        return cls(spec, tuple(coords))
+                flat += spec.elem(item).residues
+        return RingVec._of(spec, tuple(flat))
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.flat) // len(self.spec.factors)
 
     def __getitem__(self, i: int) -> RingElem:
-        return RingElem(self.spec, self.coords[i])
+        k = len(self.spec.factors)
+        i = range(len(self))[i]
+        return RingElem(self.spec, self.flat[i * k:i * k + k])
 
     def __iter__(self) -> Iterator[RingElem]:
         for residues in self.coords:
@@ -248,20 +265,20 @@ class RingVec(Value):
 
     def component(self, f: int) -> tuple[int, ...]:
         """Residues of factor f across all coordinates (a Z_{t_f} vector)."""
-        return tuple(c[f] for c in self.coords)
+        k = len(self.spec.factors)
+        return self.flat[range(k)[f]::k]
 
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """component(f) for every factor f, in one pass."""
-        if not self.coords:
-            return ((),) * len(self.spec.factors)
-        return tuple(zip(*self.coords))
+        """component(f) for every factor f."""
+        k = len(self.spec.factors)
+        return tuple(self.flat[f::k] for f in range(k))
 
     def __str__(self) -> str:
         return "[" + " ".join(str(RingElem(self.spec, c)) for c in self.coords) + "]"
 
 
 def zero_vec(spec: RingSpec, n: int) -> RingVec:
-    return RingVec(spec, ((0,) * len(spec.factors),) * n)
+    return RingVec._of(spec, (0,) * (len(spec.factors) * n))
 
 
 def from_components(spec: RingSpec, components: Sequence[Sequence[int]]) -> RingVec:
@@ -269,98 +286,76 @@ def from_components(spec: RingSpec, components: Sequence[Sequence[int]]) -> Ring
     n = len(components[0])
     if any(len(comp) != n for comp in components):
         raise ValueError("factor components disagree on length")
-    coords = tuple(
-        tuple(int(components[f][i]) % t for f, t in enumerate(spec.factors))
-        for i in range(n)
+    flat = tuple(
+        int(components[f][i]) % t for i in range(n) for f, t in enumerate(spec.factors)
     )
-    return RingVec(spec, coords)
+    return RingVec._of(spec, flat)
 
 
 def vec_add(x: RingVec, y: RingVec) -> RingVec:
     _check_pair(x, y)
-    fac = x.spec.factors
-    return RingVec(
-        x.spec,
-        tuple(
-            tuple((a + b) % t for a, b, t in zip(cx, cy, fac))
-            for cx, cy in zip(x.coords, y.coords)
-        ),
-    )
+    sums = map(operator.add, x.flat, y.flat)
+    return RingVec._of(x.spec, tuple(map(operator.mod, sums, cycle(x.spec.factors))))
 
 
 def vec_sub(x: RingVec, y: RingVec) -> RingVec:
     _check_pair(x, y)
-    fac = x.spec.factors
-    return RingVec(
-        x.spec,
-        tuple(
-            tuple((a - b) % t for a, b, t in zip(cx, cy, fac))
-            for cx, cy in zip(x.coords, y.coords)
-        ),
-    )
+    diffs = map(operator.sub, x.flat, y.flat)
+    return RingVec._of(x.spec, tuple(map(operator.mod, diffs, cycle(x.spec.factors))))
 
 
 def vec_neg(x: RingVec) -> RingVec:
-    fac = x.spec.factors
-    return RingVec(
-        x.spec, tuple(tuple((-a) % t for a, t in zip(c, fac)) for c in x.coords)
-    )
+    negs = map(operator.neg, x.flat)
+    return RingVec._of(x.spec, tuple(map(operator.mod, negs, cycle(x.spec.factors))))
 
 
 def scale(r: RingElem, x: RingVec) -> RingVec:
     """Scalar multiple r*x, componentwise per factor."""
     if r.spec != x.spec:
         raise ValueError("scalar from a different ring")
-    fac = x.spec.factors
-    rr = r.residues
-    return RingVec(
-        x.spec, tuple(tuple((s * a) % t for s, a, t in zip(rr, c, fac)) for c in x.coords)
-    )
+    prods = map(operator.mul, cycle(r.residues), x.flat)
+    return RingVec._of(x.spec, tuple(map(operator.mod, prods, cycle(x.spec.factors))))
 
 
 def dot(x: RingVec, y: RingVec) -> RingElem:
     """Standard bilinear form sum_i x_i * y_i."""
     _check_pair(x, y)
-    if len(x.coords) != len(y.coords):
+    if len(x.flat) != len(y.flat):
         raise ValueError("length mismatch in dot product")
-    fac = x.spec.factors
-    acc = [0] * len(fac)
-    for cx, cy in zip(x.coords, y.coords):
-        for f, t in enumerate(fac):
-            acc[f] = (acc[f] + cx[f] * cy[f]) % t
-    return RingElem(x.spec, tuple(acc))
+    k = len(x.spec.factors)
+    return RingElem(x.spec, tuple(
+        sum(map(operator.mul, x.flat[f::k], y.flat[f::k])) % t
+        for f, t in enumerate(x.spec.factors)
+    ))
 
 
 def weight(x: RingVec) -> int:
     """Hamming weight: the number of nonzero coordinates."""
-    zero = (0,) * len(x.spec.factors)
-    return sum(1 for c in x.coords if c != zero)
+    return sum(map(any, x.coords))
 
 
 def hamming(x: RingVec, y: RingVec) -> int:
     """Hamming distance: the number of coordinates where x and y differ."""
     _check_pair(x, y)
-    if len(x.coords) != len(y.coords):
+    if len(x.flat) != len(y.flat):
         raise ValueError("length mismatch in Hamming distance")
-    return sum(1 for cx, cy in zip(x.coords, y.coords) if cx != cy)
+    return sum(map(operator.ne, x.coords, y.coords))
 
 
 def support(x: RingVec) -> tuple[int, ...]:
-    zero = (0,) * len(x.spec.factors)
-    return tuple(i for i, c in enumerate(x.coords) if c != zero)
+    return tuple(i for i, c in enumerate(x.coords) if any(c))
 
 
 def enumerate_vectors(spec: RingSpec, n: int) -> Iterator[RingVec]:
     """All of R^n in odometer order, last coordinate fastest.
 
     A coordinate value is itself ordered by its residue tuple (last factor
-    fastest), so the whole stream is lexicographic in the flattened residues.
+    fastest), so the whole stream is lexicographic in the flat residues.
     Raises BudgetExceeded before yielding anything if |R|^n is too large.
     """
     check_budget(spec.cardinality**n, f"scan of R^{n}")
-    coord_values = [residues for residues in product(*(range(t) for t in spec.factors))]
-    for combo in product(coord_values, repeat=n):
-        yield RingVec(spec, combo)
+    for flat in product(*[range(t) for t in spec.factors] * n):
+        yield RingVec._of(spec, flat)
 
 
 def _check_pair(x: RingVec, y: RingVec) -> None:

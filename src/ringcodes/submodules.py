@@ -63,11 +63,9 @@ class Submodule:
         k = self.spec.nfactors
         for f, hf in enumerate(self.forms):
             for row in hf.rows:
-                coords = tuple(
-                    tuple(row[i] if g == f else 0 for g in range(k))
-                    for i in range(self.ambient_n)
-                )
-                out.append(RingVec(self.spec, coords))
+                flat = [0] * (k * self.ambient_n)
+                flat[f::k] = row
+                out.append(RingVec._of(self.spec, tuple(flat)))
         return tuple(out)
 
     def annihilator(self) -> "Submodule":
@@ -84,11 +82,13 @@ class Submodule:
 
     def enumerate(self) -> Iterator[RingVec]:
         """All elements exactly once: odometer over factors, last factor fastest."""
+        import numpy as np
+
         check_budget(self.cardinality, "submodule enumeration")
         for block in span_blocks(self.forms):
-            parts = [b.tolist() for b in block]
-            for i in range(len(parts[0])):
-                yield RingVec(self.spec, tuple(zip(*(p[i] for p in parts))))
+            # row b of the stack is point b's flat residues, factor fastest
+            for flat in np.stack(block, axis=-1).reshape(len(block[0]), -1).tolist():
+                yield RingVec._of(self.spec, tuple(flat))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Submodule):

@@ -29,6 +29,7 @@ from ringcodes import (
     pcs_enumerator_poly,
     poisson_sum,
     validate_pcs,
+    weight_shell,
 )
 from ringcodes.cli import COMMANDS
 from conftest import Z6, Z6_D_GENS, Z6_H, build_z6_pcs, build_z6_presentation, rv
@@ -78,6 +79,8 @@ STAGES = {
     "exponent pairs": (lambda: pcs_enumerator_poly(build_z6_pcs()), 162, "pairs"),
     # shells 0..2 of Z6^4 (d = 2): 1 + 4*5 + 6*25; the tables need 4680 bytes
     "weight-shell search": (lambda: min_distance_witness(build_z6_pcs()), 171, "states"),
+    # one shell of Z6^4 on its own: C(4, 2) * 5^2
+    "weight shell": (lambda: list(weight_shell(Z6, 4, 2)), 150, "states"),
     # |dual| * |Z6|^4 = 18 * 1296
     "naive transform": (
         lambda: poisson_sum(build_z6_presentation(), lambda v: 1.0),
@@ -109,6 +112,13 @@ def test_every_stage_meets_its_limit_exactly(what, monkeypatch):
     err = exc.value
     assert (err.what, err.needed, err.budget, err.unit) == (what, needed, needed - 1, unit)
     assert str(err) == f"{what} needs {needed} {unit}, budget is {needed - 1}"
+
+
+def test_weight_shell_is_gated_before_listing_residues():
+    # |R| - 1 is about 4.3e9 residue tuples, so a listing would not return
+    with pytest.raises(BudgetExceeded) as exc:
+        next(weight_shell(parse_ring("Z2xZ2147483629"), 1, 1))
+    assert (exc.value.what, exc.value.needed) == ("weight shell", 2 * 2147483629 - 1)
 
 
 def _constructions(tree: ast.AST) -> list[ast.Call]:

@@ -303,6 +303,17 @@ def test_enumerator(files, capsys):
     assert payload["distance_distribution"] == [216, 0, 6480, 17280, 22680]
 
 
+def test_enumerator_walks_the_row_span_once(files, capsys, monkeypatch):
+    from ringcodes import enumerator
+
+    calls = []
+    walk = enumerator._weight_bins
+    monkeypatch.setattr(enumerator, "_weight_bins", lambda pcs: calls.append(pcs) or walk(pcs))
+    code, payload, _ = run_json(capsys, "enumerator", files["pcs"], "--json")
+    assert code == 0 and payload["distance_distribution"] == [216, 0, 6480, 17280, 22680]
+    assert len(calls) == 1
+
+
 def test_parse_failures_exit_3(files, capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("Z6\npcs\n1 2 3\n")

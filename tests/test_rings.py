@@ -1,6 +1,7 @@
 """Ring, element, and vector arithmetic over products of Z_t factors."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -25,7 +26,7 @@ from ringcodes import (
     weight_shell,
     zero_vec,
 )
-from conftest import random_vec
+from conftest import OUTSIDE_RINGS, PROPERTY_RINGS, random_vec
 
 
 def test_parse_ring_round_trip():
@@ -237,3 +238,72 @@ def test_every_builder_returns_reduced_int_residues(ring):
     # a weight shell lists spec.nonzero_residues(), |R| - 1 of them
     if spec.cardinality <= 10**3:
         assert all(_reduced(v) for w in range(3) for v in weight_shell(spec, 3, w))
+
+
+LAYOUT_RINGS = PROPERTY_RINGS + OUTSIDE_RINGS + ["Z2147483629", "Z65521xZ65519"]
+
+
+def _nested(rng: random.Random, spec: RingSpec, n: int) -> tuple[tuple[int, ...], ...]:
+    """n residue tuples, a third of them zero and the rest often at t - 1."""
+    pick = [lambda t: 0, lambda t: t - 1, lambda t: rng.randrange(t)]
+    return tuple(
+        (0,) * spec.nfactors if rng.random() < 1 / 3
+        else tuple(rng.choice(pick)(t) for t in spec.factors)
+        for _ in range(n)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("ring", LAYOUT_RINGS)
+def test_flat_layout_against_nested_reference(ring, n):
+    spec = parse_ring(ring)
+    rng = random.Random(f"{ring}/{n}")
+    fac, k = spec.factors, spec.nfactors
+    coords, other = _nested(rng, spec, n), _nested(rng, spec, n)
+    builders = [
+        RingVec(spec, coords),
+        RingVec.of(spec, coords),
+        RingVec.of(spec, [spec.elem(c) for c in coords]),
+        from_components(spec, [[c[f] for c in coords] for f in range(k)]),
+    ]
+    if spec.cardinality**n <= 10**5:
+        index = 0
+        for c in coords:
+            for a, t in zip(c, fac):
+                index = index * t + a
+        builders.append(next(islice(enumerate_vectors(spec, n), index, None)))
+    zero = ((0,) * k,) * n
+    cases = [(coords, v) for v in builders]
+    cases += [(zero, zero_vec(spec, n)), (zero, RingVec(spec, zero))]
+    for ref, v in cases:
+        assert v == RingVec(spec, ref) and hash(v) == hash((spec, ref))
+        assert v.coords == ref and v.flat == tuple(a for c in ref for a in c) and len(v) == n
+        assert [e.residues for e in v] == list(ref)
+        assert [v[i].residues for i in range(-n, n)] == list(ref * 2)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                v[i]
+        parts = tuple(tuple(c[f] for c in ref) for f in range(k))
+        assert v.components() == parts
+        assert [v.component(f) for f in range(-k, k)] == list(parts * 2)
+        with pytest.raises(IndexError):
+            v.component(k)
+        entries = [str(c[0]) if k == 1 else "(" + ",".join(map(str, c)) + ")" for c in ref]
+        assert str(v) == "[" + " ".join(entries) + "]"
+
+    x, y = builders[0], RingVec(spec, other)
+    r = spec.elem(_nested(rng, spec, 1)[0])
+
+    def each(op, *vs):
+        return tuple(tuple(op(*a) % t for *a, t in zip(*cs, fac)) for cs in zip(*vs))
+
+    assert vec_add(x, y).coords == each(lambda a, b: a + b, coords, other)
+    assert vec_sub(x, y).coords == each(lambda a, b: a - b, coords, other)
+    assert vec_neg(x).coords == each(lambda a: -a, coords)
+    assert scale(r, x).coords == each(lambda s, a: s * a, (r.residues,) * n, coords)
+    assert dot(x, y).residues == tuple(
+        sum(c[f] * d[f] for c, d in zip(coords, other)) % t for f, t in enumerate(fac)
+    )
+    assert weight(x) == sum(c != (0,) * k for c in coords)
+    assert hamming(x, y) == sum(c != d for c, d in zip(coords, other))
+    assert support(x) == tuple(i for i, c in enumerate(coords) if c != (0,) * k)
