@@ -11,10 +11,11 @@ increasing weight until H(x - y)^T hits a column of S.
 Both are one search: the first y in weight-shell order whose weight lies
 in a range and with rho - H y^T in a target set Z; the distance takes
 rho = 0 and Z = -S^diff, decoding rho = H x^T and Z = col(S).  It runs on
-the system's cached reachability tables over R^m (see reach.py) when
-those fit in DEFAULT_BUDGET bytes, and otherwise lists the weight shells
-of R^n, up to DEFAULT_BUDGET vectors; both routes give the same answers.
-The distance is cached on the system either way.
+the system's cached reachability bitsets over R^m (see reach.py) when
+their bytes and word operations fit in DEFAULT_BUDGET, and otherwise
+lists the weight shells of R^n, up to DEFAULT_BUDGET vectors; both
+routes give the same answers.  The distance is cached on the system
+either way.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ class BeyondRadius(Exception):
     def __init__(self, received: RingVec, radius: int):
         self.received = received
         self.radius = radius
-        super().__init__(f"no codeword within radius {radius} of {received}")
+
+    def __str__(self) -> str:
+        # formatted only when shown: decode raises this on every word it refuses
+        return f"no codeword within radius {self.radius} of {self.received}"
 
 
 class DecodeResult(Value):
@@ -137,7 +141,7 @@ def _first(
     rho - H y^T in targets, or None.
 
     The search runs on the system's reachability tables unless they would
-    outgrow DEFAULT_BUDGET bytes; then it lists the weight shells.
+    outgrow DEFAULT_BUDGET; then it lists the weight shells.
     """
     space = pcs.syndrome_space()
     if space is None:

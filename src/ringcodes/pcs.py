@@ -146,10 +146,10 @@ class ParityCheckSystem:
         return left_kernel(self.spec, self.ht_forms)
 
     def syndrome_space(self) -> Optional[SyndromeSpace]:
-        """The cached reachability tables, or None above DEFAULT_BUDGET bytes."""
+        """The cached reachability tables, or None when they exceed DEFAULT_BUDGET."""
         from .reach import SyndromeSpace
 
-        if SyndromeSpace.nbytes(self.spec, self.m, self.n) > rings.DEFAULT_BUDGET:
+        if max(SyndromeSpace.cost(self.spec, self.m, self.n)) > rings.DEFAULT_BUDGET:
             return None
         if self._syndrome_space is None:
             self._syndrome_space = SyndromeSpace(self.spec, self.h_rows)

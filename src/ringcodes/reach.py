@@ -7,70 +7,83 @@ syndrome space, which has |R|^m points however long the code is.
 
 A syndrome gets a mixed-radix index over its m*k residue axes (row-major:
 row i, then factor f, last axis fastest), so product rings need nothing
-special.  For each coordinate j and each nonzero ring value a there is one
-gather array mapping every index sigma to the index of sigma - a*h_j.  A
-ReachTable seeded with a set Z holds, for every suffix start p and weight
-w, the boolean array of the sigma from which some y supported on
-coordinates p..n-1 with weight exactly w reaches Z, i.e. sigma - H y^T in
-Z.  Seeding with the target set (rather than with 0) turns every "can
-this prefix still be completed" question into a lookup or an AND.
+special.  A set of syndromes is one Python int with bit sigma set for
+each index sigma in it; translating the set by u in R^m rotates each axis
+on which u is nonzero.  A ReachTable seeded with a set Z holds, for every
+suffix start p and weight w, the set of sigma from which some y supported
+on coordinates p..n-1 with weight exactly w reaches Z, i.e. sigma - H y^T
+in Z.  Seeding with the target set (rather than with 0) turns every "can
+this prefix still be completed" question into a bit test or an AND.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 from typing import Iterable, Sequence
 
 from .rings import RingSpec, RingVec
 
 
 class SyndromeSpace:
-    """R^m indexed mixed-radix, with the gather arrays of H's column shifts.
+    """R^m indexed mixed-radix, with the digits of H's column multiples.
 
-    gathers[j][a, sigma] is the index of sigma - v_a*h_j, where v_a is the
-    a-th entry of spec.nonzero_residues(), the order of weight shells.
+    digits[j][a] holds the residues of v_a*h_j on every axis, v_a the a-th
+    of spec.nonzero_residues(); shifts[j] holds the distinct ones, a set
+    closed under negation, so spread() also gives the union of bits - v*h_j.
     """
 
     def __init__(self, spec: RingSpec, h_rows: Sequence[RingVec]):
-        import numpy as np
-
         self.spec = spec
         self.n = len(h_rows[0])
         self.nonzero = spec.nonzero_residues()
         k = spec.nfactors
-        radices = spec.factors * len(h_rows)
-        self.size = math.prod(radices)
-        self.strides = [math.prod(radices[a + 1:]) for a in range(len(radices))]
-        # int32 halves the gathers; nbytes keeps size below the budget < 2^31
-        index = np.arange(self.size, dtype=np.int32)
-        step = np.empty((len(self.nonzero), self.size), dtype=np.int32)
-        self.gathers = []
-        for j in range(self.n):
-            # residues of v*h_j on every axis, one row per nonzero value v
-            shifts = np.array(
-                [[v[f] * row.flat[j * k + f] % t
-                  for row in h_rows for f, t in enumerate(spec.factors)]
-                 for v in self.nonzero],
-                dtype=np.int32,
-            ).reshape(len(self.nonzero), len(radices))
-            g = np.zeros((len(self.nonzero), self.size), dtype=np.int32)
-            for a, (r, st) in enumerate(zip(radices, self.strides)):
-                np.subtract(index // st % r, shifts[:, a, None], out=step)
-                step %= r
-                step *= st
-                g += step
-            self.gathers.append(g)
+        self.radices = spec.factors * len(h_rows)
+        self.size = math.prod(self.radices)
+        self.strides = [math.prod(self.radices[a + 1:]) for a in range(len(self.radices))]
+        self.digits = [
+            [tuple(v[f] * row.flat[j * k + f] % t
+                   for row in h_rows for f, t in enumerate(spec.factors))
+             for v in self.nonzero]
+            for j in range(self.n)
+        ]
+        self.shifts = [list(dict.fromkeys(d)) for d in self.digits]
+        # (axis, offset) -> (lo, up, down), built on first use
+        self._masks: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._tables: dict[frozenset[int], ReachTable] = {}
 
     @staticmethod
-    def nbytes(spec: RingSpec, m: int, n: int) -> int:
-        """Bytes stored at most: the int32 gathers plus two full bool tables."""
-        q = spec.cardinality
-        return q**m * (4 * n * (q - 1) + 2 * (n + 1) ** 2)
+    def cost(spec: RingSpec, m: int, n: int) -> tuple[int, int]:
+        """(bytes, word operations) at most: both tables and every mask; all layers."""
+        q, size = spec.cardinality, spec.cardinality**m
+        nbytes = -(-size * (2 * (n + 1) ** 2 + m * sum(spec.factors)) // 8)
+        return nbytes, n * (n + 1) * (q - 1) * m * spec.nfactors * -(-size // 64)
 
     def index(self, v: RingVec) -> int:
         return sum(map(mul, v.flat, self.strides))
+
+    def translate(self, bits: int, u: Sequence[int]) -> int:
+        """The set bits + u, with u given by its digit on every axis."""
+        for a, c in enumerate(u):
+            if c:
+                lo, up, down = self._masks.get((a, c)) or self._mask(a, c)
+                low = bits & lo
+                bits = low << up | (bits ^ low) >> down
+        return bits
+
+    def _mask(self, a: int, c: int) -> tuple[int, int, int]:
+        """lo: the bits whose digit on axis a is below r - c, so they move up."""
+        r, st = self.radices[a], self.strides[a]
+        lo, period = (1 << (r - c) * st) - 1, r * st
+        while period < self.size:  # copy the block to every period
+            lo |= lo << period
+            period *= 2
+        return self._masks.setdefault((a, c), (lo & ((1 << self.size) - 1), c * st, (r - c) * st))
+
+    def spread(self, bits: int, j: int) -> int:
+        """The union of bits + v*h_j over the nonzero v."""
+        return reduce(or_, [self.translate(bits, u) for u in self.shifts[j]])
 
     def table(self, seeds: Iterable[RingVec]) -> "ReachTable":
         """The reach table seeded with these syndromes, cached per seed set."""
@@ -83,34 +96,32 @@ class SyndromeSpace:
 class ReachTable:
     """Suffix reach tables of one seed set Z, extended one weight at a time.
 
-    layer(w)[p, sigma] is true when some y on coordinates p..n-1 of weight
-    exactly w has sigma - H y^T in Z.
+    Bit sigma of layer(w)[p] is set when some y on coordinates p..n-1 of
+    weight exactly w has sigma - H y^T in Z.
     """
 
     def __init__(self, space: SyndromeSpace, seeds: Iterable[int]):
-        import numpy as np
-
         self.space = space
-        self.seed = np.zeros(space.size, dtype=bool)
-        self.seed[list(seeds)] = True
-        self._layers = [np.tile(self.seed, (space.n + 1, 1))]
+        bits = bytearray(space.size // 8 + 1)
+        for s in seeds:
+            bits[s >> 3] |= 1 << (s & 7)
+        self.seed = int.from_bytes(bits, "little")
+        self._layers = [[self.seed] * (space.n + 1)]
 
-    def layer(self, w: int):
-        import numpy as np
-
-        n, gathers = self.space.n, self.space.gathers
+    def layer(self, w: int) -> list[int]:
+        space, n = self.space, self.space.n
         while len(self._layers) <= w:
             prev = self._layers[-1]
-            cur = np.zeros_like(prev)
-            # rows p > n - w stay empty: too few coordinates are left
+            cur = [0] * (n + 1)
+            # entries p > n - w stay empty: too few coordinates are left
             for p in range(n - len(self._layers), -1, -1):
-                cur[p] = cur[p + 1] | prev[p + 1][gathers[p]].any(axis=0)
+                cur[p] = cur[p + 1] | space.spread(prev[p + 1], p)
             self._layers.append(cur)
         return self._layers[w]
 
     def reaches(self, rho: int, w: int) -> bool:
         """Whether some y of weight w has rho - H y^T in the seeds."""
-        return bool(self.layer(w)[0, rho])
+        return bool(self.layer(w)[0] >> rho & 1)
 
     def first(self, rho: int, w: int) -> RingVec:
         """The first y in weight-shell order with weight w and rho - H y^T a seed.
@@ -121,20 +132,16 @@ class ReachTable:
         completed; the values follow the same way on that support.
         Requires reaches(rho, w).
         """
-        import numpy as np
-
-        space = self.space
-        n, gathers = space.n, space.gathers
+        space, n = self.space, self.space.n
         # reach: every rho - H y^T for y with nonzero values on the support so far
-        reach = np.zeros(space.size, dtype=bool)
-        reach[rho] = True
+        reach = 1 << rho
         support: list[int] = []
         start = 0
         for left in range(w - 1, -1, -1):
             suffix = self.layer(left)
             for j in range(start, n - left):
-                nxt = reach[gathers[j]].any(axis=0)
-                if (nxt & suffix[j + 1]).any():
+                nxt = space.spread(reach, j)
+                if nxt & suffix[j + 1]:
                     break
             else:
                 raise AssertionError("no completion although the table reaches")
@@ -144,15 +151,18 @@ class ReachTable:
         # fixed[l]: sigma from which nonzero values on support[l+1:] reach Z
         fixed = [self.seed]
         for j in reversed(support[1:]):
-            fixed.append(fixed[-1][gathers[j]].any(axis=0))
+            fixed.append(space.spread(fixed[-1], j))
         fixed.reverse()
         k = space.spec.nfactors
         flat = [0] * (n * k)
+        digits = [rho // st % r for st, r in zip(space.strides, space.radices)]
         for l, j in enumerate(support):
-            cands = gathers[j][:, rho]
-            a = int(np.argmax(fixed[l][cands]))
-            if not fixed[l][cands[a]]:
+            for v, u in zip(space.nonzero, space.digits[j]):
+                cand = [(d - c) % r for d, c, r in zip(digits, u, space.radices)]
+                if fixed[l] >> sum(map(mul, cand, space.strides)) & 1:
+                    break
+            else:
                 raise AssertionError("no value completes the chosen support")
-            flat[j * k:j * k + k] = space.nonzero[a]
-            rho = int(cands[a])
+            flat[j * k:j * k + k] = v
+            digits = cand
         return RingVec._of(space.spec, tuple(flat))

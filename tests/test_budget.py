@@ -77,7 +77,7 @@ STAGES = {
     "row span walk": (lambda: pcs_enumerator_poly(_z6_one_column()), 18, "states"),
     # the 18 points of the Z6 row span times s^2 = 9 column pairs
     "exponent pairs": (lambda: pcs_enumerator_poly(build_z6_pcs()), 162, "pairs"),
-    # shells 0..2 of Z6^4 (d = 2): 1 + 4*5 + 6*25; the tables need 4680 bytes
+    # shells 0..2 of Z6^4 (d = 2): 1 + 4*5 + 6*25; the tables need 279 bytes
     "weight-shell search": (lambda: min_distance_witness(build_z6_pcs()), 171, "states"),
     # one shell of Z6^4 on its own: C(4, 2) * 5^2
     "weight shell": (lambda: list(weight_shell(Z6, 4, 2)), 150, "states"),

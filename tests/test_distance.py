@@ -151,6 +151,21 @@ def test_decode_corrects_single_errors():
     assert exc.value.radius == 1
 
 
+def test_beyond_radius_formats_its_message_only_when_shown(monkeypatch):
+    from ringcodes import RingElem
+
+    shown = []
+    real = RingElem.__str__
+    monkeypatch.setattr(RingElem, "__str__", lambda self: shown.append(1) or real(self))
+    pcs, spec = repetition_pcs("Z2", 4)
+    with pytest.raises(BeyondRadius) as exc:
+        decode(pcs, rv(spec, (1, 1, 0, 0)))
+    assert shown == []
+    assert str(exc.value) == "no codeword within radius 1 of [1 1 0 0]"
+    assert len(shown) == 4
+    assert (exc.value.received, exc.value.radius) == (rv(spec, (1, 1, 0, 0)), 1)
+
+
 def test_decode_has_no_distance_override():
     assert list(inspect.signature(decode).parameters) == ["pcs", "x"]
     # the Z2 even-weight code has d = 2: [1 0 0 0] is as close to
