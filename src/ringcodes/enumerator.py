@@ -17,14 +17,21 @@ multiplies every exponent by a, so each weight bin is fixed by the Galois
 group of Q(zeta_L): its terms zeta^k come in whole classes of equal
 d = L / gcd(k, L), and each class sums to count * mu(d) / phi(d), since
 the primitive d-th roots of unity sum to mu(d) (a Ramanujan sum).
+
+The span is walked with each point packed into one Python int
+(howell.span_walk): its H part, whose popcount of nonzero-coordinate
+flags is the weight, and one exponent field mod L per column of S.  The
+points are counted by (weight, S part), and each distinct S part's pair
+sum is computed once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
-from .howell import span_blocks
+from .howell import field_bits, flat_rows, span_walk
 from .pcs import ParityCheckSystem, is_linear, pcs_to_code
 from .rings import Value, check_budget
 from .submodules import Submodule
@@ -83,11 +90,23 @@ def _divide_exact(values: Sequence[int], divisor: int) -> list[int]:
     return out
 
 
-def _weights(block, n: int):
-    """Hamming weights of the first n coordinates of a span block's points, as an array."""
-    import numpy as np
+def _weight_keys(rows: list, moduli: Sequence[int], k: int, n: int) -> Counter:
+    """Count the points of span_walk(rows, moduli) by key: the Hamming weight
+    of the first n coordinates (k fields each) OR the fields above them.
 
-    return np.logical_or.reduce([part[:, :n] != 0 for part in block]).sum(axis=1)
+    A coordinate's k fields are one word of k*B bits whose top field holds
+    a residue below 2^(B-1), so the word plus 2^(kB-1) - 1 carries into its
+    top bit exactly when some field is nonzero; the popcount of those bits
+    is the weight, kept in the key's low k*B*n bits.
+    """
+    W = k * field_bits(moduli)
+    low = (1 << W * n) - 1
+    top = sum(1 << (W * i + W - 1) for i in range(n))
+    adj = sum((1 << (W * i + W - 1)) - (1 << W * i) for i in range(n))
+    counts: Counter = Counter()
+    for block in span_walk(rows, moduli):
+        counts.update([(((p & low) + adj) & top).bit_count() | (p & ~low) for p in block])
+    return counts
 
 
 def _prime_divisors(t: int) -> list[int]:
@@ -114,40 +133,44 @@ def _mobius_phi(d: int, primes: Sequence[int]) -> tuple[int, int]:
 
 
 def _weight_bins(pcs: ParityCheckSystem) -> list[int]:
-    """Exact sum of |Fourier coefficient|^2 per weight over the row span of H."""
-    import numpy as np
+    """Exact sum of |Fourier coefficient|^2 per weight over the row span of H.
 
+    The walk packs each point's H part and, for s > 1, one exponent field
+    mod L per column of S; the exponent pairs are summed once per distinct
+    S part that occurs.
+    """
     card = pcs.row_module.cardinality
     check_budget(card, "row span walk")
     check_budget(card * pcs.s * pcs.s, "exponent pairs", "pairs")
-    spec, n = pcs.spec, pcs.n
+    spec, n, s, k = pcs.spec, pcs.n, pcs.s, pcs.spec.nfactors
     L = spec.char_order
-    # an exponent plus a term stays below 2^63 while L < 2^62
-    dtype = np.int64 if L < 2**62 else object
-    pairs: dict = {}  # gcd(e_l - e_j, L) -> number of (h, j, l) per weight
-    for block in span_blocks(pcs.hs_forms):
-        w = _weights(block, n)
-        # the s pairs j = l have gcd L; gcd(-d, L) = gcd(d, L) counts l < j as j < l
-        pairs[L] = pairs.get(L, 0) + pcs.s * np.bincount(w, minlength=n + 1)
-        if pcs.s == 1:
-            continue  # no pair j < l reads the exponents
-        e = np.zeros((len(w), pcs.s), dtype=dtype)
-        for part, cw in zip(block, spec.character_weights):
-            e = (e + part[:, n:].astype(dtype) * cw) % L
-        for j in range(pcs.s - 1):
-            # index the gcds that occur, then count (index, weight) in one array
-            g, inv = np.unique(np.gcd(e[:, j + 1 :] - e[:, j : j + 1], L), return_inverse=True)
-            keys = (inv.reshape(len(w), -1) * (n + 1) + w[:, None]).ravel()
-            counts = np.bincount(keys, minlength=len(g) * (n + 1))
-            for gk, row in zip(g.tolist(), counts.reshape(len(g), n + 1)):
-                pairs[gk] = pairs.get(gk, 0) + 2 * row
+    rows, moduli = flat_rows(pcs.hs_forms, n), spec.factors * n
+    if s > 1:  # s = 1 has no pair j < l to read the exponents
+        rows = [(fields + exps, r) for (fields, r), *exps in zip(rows, *pcs._exponent_cols)]
+        moduli += (L,) * s
+    E = field_bits(moduli)
+    shift, emask = E * k * n, (1 << E) - 1
+    wmask = (1 << shift) - 1  # the weight bits of a key
     primes = sorted({p for t in spec.factors for p in _prime_divisors(t)})
     _, phi_L = _mobius_phi(L, primes)
+    ramanujan: dict = {}  # gcd(e_l - e_j, L) -> mu(d) phi(L) / phi(d), d = L / gcd
+    pair_sums: dict = {}  # S part -> sum over (j, l) of the Ramanujan sums times phi(L)
     sums = [0] * (n + 1)
-    for g, row in pairs.items():
-        mu, phi = _mobius_phi(L // g, primes)
-        for wk, count in enumerate(row.tolist()):
-            sums[wk] += count * mu * (phi_L // phi)
+    for key, count in _weight_keys(rows, moduli, k, n).items():
+        part = key >> shift
+        if part not in pair_sums:
+            e = [part >> E * j & emask for j in range(s)]
+            # the s pairs j = l have gcd L; gcd(-d, L) = gcd(d, L) counts l < j as j < l
+            total = s * phi_L
+            for j in range(s - 1):
+                for el in e[j + 1 :]:
+                    g = math.gcd(el - e[j], L)
+                    if g not in ramanujan:
+                        mu, phi = _mobius_phi(L // g, primes)
+                        ramanujan[g] = mu * (phi_L // phi)
+                    total += 2 * ramanujan[g]
+            pair_sums[part] = total
+        sums[key & wmask] += count * pair_sums[part]
     c = spec.cardinality**n // card
     return [c * c * v for v in _divide_exact(sums, phi_L)]
 
@@ -198,8 +221,6 @@ def weight_enumerator_linear(pcs: ParityCheckSystem) -> EnumeratorPoly:
     MacWilliams-transforms its weight enumerator.  The routes must agree
     coefficient by coefficient; a mismatch means a bug, not bad input.
     """
-    import numpy as np
-
     if not is_linear(pcs):
         raise ValueError("the code of this system is not linear")
     size = pcs.code_cardinality()
@@ -216,10 +237,9 @@ def weight_enumerator_linear(pcs: ParityCheckSystem) -> EnumeratorPoly:
         raise AssertionError("linear code does not span its own cardinality")
     # the dual lies in the row span of H, which route one walked in budget
     dual = code_module.annihilator()
-    counts = np.zeros(pcs.n + 1, dtype=np.int64)
-    for block in span_blocks(dual.forms):
-        counts += np.bincount(_weights(block, pcs.n), minlength=pcs.n + 1)
-    dual_poly = EnumeratorPoly(pcs.n, tuple(counts.tolist()))
+    counts = _weight_keys(flat_rows(dual.forms, pcs.n), pcs.spec.factors * pcs.n,
+                          pcs.spec.nfactors, pcs.n)
+    dual_poly = EnumeratorPoly(pcs.n, tuple(counts[w] for w in range(pcs.n + 1)))
     via_dual = macwilliams_transform(dual_poly, pcs.spec.cardinality, dual.cardinality)
     if direct_poly != via_dual:
         raise AssertionError(

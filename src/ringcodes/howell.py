@@ -10,7 +10,7 @@ forms are equal, which makes membership, cardinality, solving and kernel
 computations mechanical.
 
 The forms are computed and held as tuples of Python ints, exact for any
-modulus; only the block walk over a span uses numpy.
+modulus, and span_walk lists a span with each point packed into one int.
 
 Everything here works on a single modulus; product rings are handled one
 factor at a time by the callers.
@@ -19,12 +19,9 @@ factor at a time by the callers.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .rings import Value
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -162,10 +159,9 @@ class HowellForm(Value):
         t = self.modulus
         return tuple(a % t for a in x)
 
-    def enumerate_span(self) -> Iterator[np.ndarray]:
+    def enumerate_span(self) -> Iterator[tuple[int, ...]]:
         """All span elements exactly once, coefficient odometer order."""
-        for (block,) in span_blocks([self]):
-            yield from block
+        return span_tuples([self])
 
 
 def _reduce(steps: Sequence[tuple], v: list[int]) -> list[int]:
@@ -192,45 +188,95 @@ def _flat_steps(forms: Sequence[HowellForm]) -> tuple[tuple, ...]:
     )
 
 
-#: Points per block of span_blocks.
+#: Points per block of span_walk, the most it holds at once.
 _BLOCK = 4096
 
 
-def span_blocks(forms: Sequence[HowellForm]) -> Iterator[list[np.ndarray]]:
-    """The span of a product of per-factor forms, in blocks of points.
+def field_bits(moduli: Sequence[int]) -> int:
+    """Bits per field of a packed point: one more than the largest modulus needs."""
+    return max(moduli, default=1).bit_length() + 1
 
-    Each block is a list with one (B, ncols) array per form, B <= _BLOCK,
-    row b of every array being one factor component of the same point.
-    Points come in odometer order over the forms, the last fastest, and
-    within a form over the coefficients of its rows in itertools.product
-    order.  That is one mixed-radix count over all rows of all forms, row
-    i running through 0 .. t / pivot_i - 1, cut into runs of _BLOCK.
+
+def flat_rows(forms: Sequence[HowellForm], ncols: int) -> list[tuple[list[int], int]]:
+    """Per Howell row of forms, one per ring factor: (its first ncols entries
+    at flat fields i*k + f, its radix t / pivot), in the order of the forms."""
+    k = len(forms)
+    out = []
+    for f, hf in enumerate(forms):
+        for row, col in zip(hf.rows, hf.pivot_cols):
+            fields = [0] * (k * ncols)
+            fields[f::k] = row[:ncols]
+            out.append((fields, hf.modulus // row[col]))
+    return out
+
+
+def span_walk(rows: Sequence[tuple[Sequence[int], int]], moduli: Sequence[int]) -> Iterator[list[int]]:
+    """Every sum of c_i * fields_i with 0 <= c_i < radix_i, in lists of points.
+
+    rows are (fields, radix) pairs of residues, field j mod moduli[j].  A
+    point is one Python int holding field j at bit field_bits(moduli) * j.
+    Points come in one mixed-radix count over the coefficients, the first
+    row slowest, in lists of at most _BLOCK points.  Adding a row is one
+    SWAR (SIMD within a register) add: each field of x = p + m is below
+    2t < 2^B, the top bit of x + K with K = 2^(B-1) - t is set in exactly
+    the fields where x >= t, and those fields lose t.
     """
-    import numpy as np
+    B = field_bits(moduli)
+    sh = B - 1
+    TP = sum(t << (B * j) for j, t in enumerate(moduli))
+    TOP = sum(1 << (B * j + sh) for j in range(len(moduli)))
+    K = TOP - TP
 
-    digits = [
-        (f, np.array(row, dtype=np.int64), hf.modulus // row[col])
-        for f, hf in enumerate(forms)
-        for row, col in zip(hf.rows, hf.pivot_cols)
-    ]
-    strides, total = [], 1
-    for _, _, radix in reversed(digits):
-        strides.insert(0, total)
-        total *= radix
-    for lo in range(0, total, _BLOCK):
-        offsets = np.arange(min(_BLOCK, total - lo))
-        block = [np.zeros((len(offsets), hf.ncols), dtype=np.int64) for hf in forms]
-        for (f, row, radix), stride in zip(digits, strides):
-            q, r = divmod(lo, stride)
-            # a digit whose stride is at least _BLOCK steps at most once per block
-            if stride < _BLOCK:
-                steps = (offsets + r) // stride
-            else:
-                steps = offsets >= min(stride - r, _BLOCK)
-            digit = (steps + q % radix) % radix
-            t = forms[f].modulus
-            block[f] = (block[f] + digit[:, None] * row % t) % t
+    def add(p: int, m: int) -> int:
+        x = p + m
+        h = (x + K) & TOP
+        return x - ((h - (h >> sh)) & TP)
+
+    def offsets(rows: list) -> Iterator[int]:  # every sum of c_i * m_i, the first row slowest
+        if not rows:
+            yield 0
+            return
+        (m, r), rest = rows[0], rows[1:]
+        q = 0
+        for _ in range(r):
+            for o in offsets(rest):
+                yield add(q, o)
+            q = add(q, m)
+
+    packed = [(sum(a << (B * j) for j, a in enumerate(fields) if a), r) for fields, r in rows]
+    # the fastest rows whose radices multiply to at most _BLOCK, expanded once
+    j, size = len(packed), 1
+    while j and size * packed[j - 1][1] <= _BLOCK:
+        j -= 1
+        size *= packed[j][1]
+    base = [0]
+    for m, r in reversed(packed[j:]):  # each row slower than those in base
+        cm = [0]  # cm[c] = c * m
+        for _ in range(r - 1):
+            cm.append(add(cm[-1], m))
+        base += [add(a, b) for a in cm[1:] for b in base]
+    # the slower rows offset the base, as many offsets per block as fit
+    block: list[int] = []
+    for q in offsets(packed[:j]):
+        block += [add(q, b) for b in base] if q else base
+        if len(block) + size > _BLOCK:
+            yield block
+            block = []
+    if block:
         yield block
+
+
+def span_tuples(forms: Sequence[HowellForm]) -> Iterator[tuple[int, ...]]:
+    """The span of one form per ring factor, each point as its flat residues
+    (entry i of factor f at i*k + f), in span_walk order."""
+    ncols = forms[0].ncols
+    moduli = tuple(hf.modulus for hf in forms) * ncols
+    B = field_bits(moduli)
+    mask = (1 << B) - 1
+    for block in span_walk(flat_rows(forms, ncols), moduli):
+        # one field of every point at a time, then the points' tuples
+        cols = [[p >> s & mask for p in block] for s in range(0, B * len(moduli), B)]
+        yield from zip(*cols) if cols else [()] * len(block)
 
 
 def _combine(a: int, x: list[int], b: int, y: list[int], t: int) -> list[int]:

@@ -205,18 +205,19 @@ class RingElem(Value):
 class RingVec(Value):
     """A vector over a RingSpec ring: flat[i*k + f] is coordinate i's factor-f residue.
 
-    coords rebuilds the per-coordinate tuples (the field of hash and repr).
-    Every residue is a Python int with 0 <= residue < t_f, which the packed
+    coords rebuilds the per-coordinate tuples (the field of hash and repr);
+    the hash is computed on first use and kept.  Every residue is a Python int with 0 <= residue < t_f, which the packed
     kernels of pcs.py rely on.  The public builders all reduce; the raw
     constructor RingVec(spec, coords) flattens coords and checks nothing.
     """
 
-    __slots__ = ("spec", "flat")
+    __slots__ = ("spec", "flat", "_hash")
     __match_args__ = ("spec", "coords")
 
     def __init__(self, spec: RingSpec, coords: Iterable[Iterable[int]]):
         self.spec = spec
         self.flat = tuple([a for c in coords for a in c])
+        self._hash = None
 
     @staticmethod
     def _of(spec: RingSpec, flat: tuple[int, ...]) -> "RingVec":
@@ -224,6 +225,7 @@ class RingVec(Value):
         v = object.__new__(RingVec)
         v.spec = spec
         v.flat = flat
+        v._hash = None
         return v
 
     @property
@@ -236,7 +238,10 @@ class RingVec(Value):
         return self.flat == other.flat and (self.spec is other.spec or self.spec == other.spec)
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.coords))
+        h = self._hash
+        if h is None:
+            self._hash = h = hash((self.spec, self.coords))
+        return h
 
     @classmethod
     def of(cls, spec: RingSpec, items: Iterable) -> "RingVec":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .howell import HowellForm, howell_rows, span_blocks
+from .howell import HowellForm, howell_rows, span_tuples
 from .rings import RingSpec, RingVec, check_budget, from_components
 
 
@@ -82,13 +82,9 @@ class Submodule:
 
     def enumerate(self) -> Iterator[RingVec]:
         """All elements exactly once: odometer over factors, last factor fastest."""
-        import numpy as np
-
         check_budget(self.cardinality, "submodule enumeration")
-        for block in span_blocks(self.forms):
-            # row b of the stack is point b's flat residues, factor fastest
-            for flat in np.stack(block, axis=-1).reshape(len(block[0]), -1).tolist():
-                yield RingVec._of(self.spec, tuple(flat))
+        for flat in span_tuples(self.forms):
+            yield RingVec._of(self.spec, flat)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Submodule):

@@ -10,8 +10,11 @@ and oracle modules, and neither does `ringcodes validate` through cli.main.
 The kernel, the linearity test and one system-side Fourier coefficient
 then still load neither numpy nor dataclasses, and neither do
 `ringcodes mindist` and `ringcodes decode`, whose reach tables are Python
-ints.  Needs only the standard library, so it also runs on interpreters
-without numpy.  Prints the JSON of `ringcodes validate`.
+ints, nor `ringcodes enumerator`, `ringcodes fourier --all` and
+`ringcodes to-code --oracle`, whose span walks (the row span of H, the
+kernel) pack each point into one Python int.  Needs only the standard
+library, so it also runs on interpreters without numpy.  Prints the JSON
+of `ringcodes validate`.
 """
 
 import io
@@ -55,3 +58,9 @@ assert out.getvalue() == (
 ), out.getvalue()
 assert "ringcodes.reach" in sys.modules, "mindist did not take the table route"
 assert not {"dataclasses", "numpy"} & set(sys.modules), "mindist or decode imported numpy"
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["enumerator", path, "--json"]) == 0
+    assert cli.main(["fourier", path, "--all", "--json"]) == 0
+    assert cli.main(["to-code", path, "--oracle", "--json"]) == 0
+assert "ringcodes.enumerator" in sys.modules and "ringcodes.oracle" in sys.modules
+assert not {"dataclasses", "numpy"} & set(sys.modules), "a span walk imported numpy"

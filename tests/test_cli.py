@@ -376,8 +376,10 @@ def test_module_invocation_runs(files):
 
 
 def test_validate_and_to_code_leave_numpy_unloaded(tmp_path):
-    """Importing the package loads only what is used, and the per-system
-    paths never import numpy or dataclasses (see lazy_import_check.py)."""
+    """Importing the package loads only what is used, and no CLI route
+    checked there, the span walks of enumerator, fourier --all and
+    to-code --oracle included, imports numpy or dataclasses (see
+    lazy_import_check.py)."""
     path = tmp_path / "z6.pcs"
     path.write_text(PCS_TEXT)
     env = dict(os.environ)

@@ -3,6 +3,8 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -29,8 +31,10 @@ from ringcodes import (
     zero_vec,
 )
 from ringcodes import howell
+from ringcodes.enumerator import _weight_bins, _weight_keys
 from conftest import (
     OUTSIDE_RINGS,
+    PROPERTY_RINGS,
     Z6,
     code_words,
     random_instance,
@@ -193,6 +197,59 @@ def test_exact_bins_match_summed_fourier_reference(z6_pcs):
         for b, c in zip(bins, npoly.coeffs):
             assert abs(b.evaluate() - c) <= 1e-9 * max(1, c)
     assert pcs_enumerator_poly(z6_pcs).coeffs == (46656, 0, 0, 0, 233280)
+
+
+def squared_coefficient_sums(pcs):
+    """sum |F(h)|^2 per weight of h over the row span of H, F from
+    fourier_coeff_pcs, summed in root-of-unity arithmetic and evaluated once."""
+    bins = [ExponentSum.zero(pcs.spec.char_order) for _ in range(pcs.n + 1)]
+    for h in pcs.row_module.enumerate():
+        es = fourier_coeff_pcs(pcs, h)
+        bins[weight(h)] = bins[weight(h)] + es * es.conjugate()
+    return [b.evaluate() for b in bins]
+
+
+def test_weight_bins_are_the_summed_squared_coefficients():
+    systems = random_systems(random.Random(2207), PROPERTY_RINGS + OUTSIDE_RINGS, 30, 600)
+    assert any(is_linear(p) for p in systems) and not all(is_linear(p) for p in systems)
+    assert any(p.spec.nfactors > 1 and p.s > 2 for p in systems)
+    # H over Z4 in a ring whose other factor is 2^31 - 1, so L = 4 (2^31 - 1):
+    # the H entries 3 = t - 1 and S's exponents below L walk in 34-bit fields
+    spec = parse_ring("Z4xZ2147483647")
+    h = [rv(spec, [(1, 0), (3, 0), (0, 0)]), rv(spec, [(0, 0), (2, 0), (3, 0)])]
+    s = [rv(spec, [(0, 0), (3, 0), (1, 0)]), rv(spec, [(0, 0), (2, 0), (2, 0)])]
+    edge = validate_pcs(h, s)
+    assert howell.field_bits(spec.factors * 3 + (spec.char_order,) * 3) == 34
+    for pcs in systems + [edge]:
+        for got, want in zip(_weight_bins(pcs), squared_coefficient_sums(pcs)):
+            assert type(got) is int and abs(want - got) <= 1e-9 * max(1, got)
+
+
+@pytest.mark.parametrize("moduli, k", [((2147483647,) * 3, 1), ((3, 2147483647) * 3, 2)])
+def test_weight_keys_at_the_field_edge(moduli, k):
+    """Weights of the first n = 2 coordinates (k fields each) and the fields
+    above them, on rows of entries t - 1 at t = 2^31 - 1, against the points
+    summed one by one; a coordinate counts once however many fields are set."""
+    rng = random.Random(len(moduli))
+    n = 2
+    rows = []
+    for _ in range(4):
+        fields = [rng.choice([0, 0, t - 1, t - 2]) for t in moduli]
+        rows.append((fields, rng.randint(2, 3)))
+    rows.append(([t - 1 for t in moduli], 2))
+    want = Counter()
+    for cs in product(*(range(r) for _, r in rows)):
+        point = [sum(c * f[j] for c, (f, _) in zip(cs, rows)) % t for j, t in enumerate(moduli)]
+        w = sum(any(point[i * k:i * k + k]) for i in range(n))
+        want[w, tuple(point[n * k:])] += 1
+    B = howell.field_bits(moduli)
+    shift = B * n * k
+    got = Counter()
+    for key, count in _weight_keys(rows, moduli, k, n).items():
+        above = tuple(key >> shift + B * j & (1 << B) - 1 for j in range(len(moduli) - n * k))
+        got[key & (1 << shift) - 1, above] += count
+    assert got == want
+    assert {w for w, _ in want} == set(range(n + 1))
 
 
 def test_blocked_span_walk_matches_one_block(monkeypatch, z6_pcs):

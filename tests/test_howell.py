@@ -4,7 +4,6 @@ import math
 import random
 from itertools import product
 
-import numpy as np
 import pytest
 
 from ringcodes.howell import (
@@ -13,6 +12,7 @@ from ringcodes.howell import (
     annihilator_generator,
     ext_gcd,
     howell_form,
+    howell_rows,
     solve_rowspan,
     split_gcd,
     stab_unit,
@@ -80,12 +80,12 @@ def test_annihilator_generator_generates_the_annihilator():
 
 
 def test_howell_empty_and_zero_matrices():
-    hf = howell_form(np.zeros((0, 3), dtype=np.int64), 6)
+    hf = howell_rows([], 3, 6)
     assert (len(hf.rows), hf.ncols) == (0, 3)
     assert hf.span_cardinality() == 1
     assert hf.contains([0, 0, 0])
     assert not hf.contains([1, 0, 0])
-    hf0 = howell_form(np.zeros((2, 2), dtype=np.int64), 4)
+    hf0 = howell_form([[0, 0], [0, 0]], 4)
     assert (len(hf0.rows), hf0.ncols) == (0, 2)
     assert brute_span(hf0.kernel_rows, 2, 4) == brute_left_kernel([[0, 0], [0, 0]], 2, 4)
 
@@ -108,7 +108,7 @@ def test_howell_rejects_bad_input():
 
 
 def _check_form(rows, n, t):
-    src = np.array(rows, dtype=np.int64).reshape(len(rows), n) % t
+    src = [[a % t for a in row] for row in rows]
     hf = howell_form(src, t)
     # shape discipline
     assert hf.modulus == t and hf.ncols == n and hf.source_rows == len(rows)
@@ -117,7 +117,7 @@ def _check_form(rows, n, t):
         assert t % p == 0
     # transform rebuilds the canonical matrix from the source rows
     if hf.rows:
-        assert np.array_equal((np.array(hf.transform_rows) @ src) % t, np.array(hf.rows) % t)
+        assert matmul_mod(hf.transform_rows, src, t) == [list(r) for r in hf.rows]
     # span is preserved exactly and the cardinality formula matches
     span = brute_span(rows, n, t)
     enumerated = [tuple(map(int, v)) for v in hf.enumerate_span()]
@@ -129,7 +129,7 @@ def _check_form(rows, n, t):
         coeffs = hf.express(list(v))
         assert coeffs is not None
         if hf.rows:
-            assert np.array_equal((np.array(coeffs) @ np.array(hf.rows)) % t, np.array(v) % t)
+            assert combine(coeffs, hf.rows, t, n) == v
     rng = random.Random(hash((t, n, len(rows))) & 0xFFFF)
     for _ in range(20):
         v = tuple(rng.randrange(t) for _ in range(n))
@@ -155,7 +155,7 @@ def test_howell_canonical_under_regeneration():
             m = rng.randint(1, 3)
             n = rng.randint(1, 3)
             rows = [[rng.randrange(t) for _ in range(n)] for _ in range(m)]
-            hf = howell_form(np.array(rows), t)
+            hf = howell_form(rows, t)
             # shuffle and add redundant combinations of the generators
             rows2 = [list(r) for r in rows]
             rng.shuffle(rows2)
@@ -165,7 +165,7 @@ def test_howell_canonical_under_regeneration():
                     sum(c * r[i] for c, r in zip(cs, rows2)) % t for i in range(n)
                 ]
                 rows2.insert(rng.randrange(len(rows2) + 1), combo)
-            hf2 = howell_form(np.array(rows2), t)
+            hf2 = howell_form(rows2, t)
             assert hf.rows == hf2.rows
             assert hf.pivot_cols == hf2.pivot_cols
 
@@ -174,27 +174,27 @@ def test_solve_rowspan_golden_and_random():
     assert solve_rowspan([[2, 0], [0, 3]], [1, 0], 6) is None
     x = solve_rowspan([[2, 0], [0, 3]], [2, 3], 6)
     assert x is not None
-    assert np.array_equal((x @ np.array([[2, 0], [0, 3]])) % 6, [2, 3])
+    assert combine(x, [[2, 0], [0, 3]], 6, 2) == (2, 3)
 
     rng = random.Random(771)
     for t in MODULI:
         for _ in range(10):
             m = rng.randint(1, 3)
             n = rng.randint(1, 3)
-            mat = np.array([[rng.randrange(t) for _ in range(n)] for _ in range(m)])
-            span = brute_span(mat.tolist(), n, t)
+            mat = [[rng.randrange(t) for _ in range(n)] for _ in range(m)]
+            span = brute_span(mat, n, t)
             inside = rng.choice(sorted(span))
             x = solve_rowspan(mat, list(inside), t)
             assert x is not None
-            assert tuple((x @ mat) % t) == inside
+            assert combine(x, mat, t, n) == inside
             outside = tuple(rng.randrange(t) for _ in range(n))
             if outside not in span:
                 assert solve_rowspan(mat, list(outside), t) is None
 
 
 def test_solve_rowspan_all_zero_rows():
-    assert solve_rowspan(np.zeros((2, 3), dtype=np.int64), [0, 0, 0], 6) is not None
-    assert solve_rowspan(np.zeros((2, 3), dtype=np.int64), [1, 0, 0], 6) is None
+    assert solve_rowspan([[0, 0, 0], [0, 0, 0]], [0, 0, 0], 6) is not None
+    assert solve_rowspan([[0, 0, 0], [0, 0, 0]], [1, 0, 0], 6) is None
 
 
 def plain_greedy(hf, v):
@@ -230,8 +230,8 @@ def test_integer_reduction_matches_a_plain_int_reference(t):
         inside = combine([rng.randrange(t) for _ in rows], rows, t, n)
         others = [tuple(rng.randrange(t) for _ in range(n)) for _ in range(4)]
         for v in [inside] + others:
-            # unreduced and numpy input reduce like their residues, to Python ints
-            for given in (v, [a - 3 * t for a in v], np.array(v, dtype=np.int64)):
+            # unreduced input reduces like its residues, to Python ints
+            for given in (v, [a - 3 * t for a in v]):
                 got = hf.divide(given)
                 want = plain_greedy(hf, v)
                 if want is not None:
@@ -279,7 +279,6 @@ def test_integer_forms_at_the_edge_of_the_range(t):
             for _ in range(m)
         ]
         hf = howell_form(rows, t)
-        assert hf.rows == howell_form(np.array(rows, dtype=np.int64), t).rows
         assert all(type(a) is int for row in hf.rows + hf.kernel_rows for a in row)
         zero_divisor_pivots += sum(p != 1 for p in hf.pivots)
         for p in hf.pivots:
@@ -288,7 +287,7 @@ def test_integer_forms_at_the_edge_of_the_range(t):
             assert matmul_mod(hf.transform_rows, rows, t) == [list(r) for r in hf.rows]
         if hf.kernel_rows:
             assert not any(map(any, matmul_mod(hf.kernel_rows, rows, t)))
-        kernel_form = howell_form(np.array(hf.kernel_rows, dtype=np.int64).reshape(-1, m), t)
+        kernel_form = howell_rows(hf.kernel_rows, m, t)
         assert hf.span_cardinality() * kernel_form.span_cardinality() == t**m
         # a shuffled generating set with redundant combinations spans the same
         rows2 = [list(r) for r in rows]
@@ -353,3 +352,42 @@ def test_flat_steps_divide_every_factor_at_once():
                 want[f][1][i] for i in range(n) for f in range(k)
             ]
     assert non_unit
+
+
+# numpy arrays are accepted wherever rows or vectors of integers are: each
+# entry is read as a Python int, so int64 input cannot overflow
+
+
+def test_howell_form_reads_numpy_arrays():
+    np = pytest.importorskip("numpy")
+    hf = howell_form(np.zeros((0, 3), dtype=np.int64), 6)
+    assert (len(hf.rows), hf.ncols) == (0, 3)
+    assert hf.span_cardinality() == 1
+    rng = random.Random(1913)
+    for t in MODULI + [2147483629, 2**31, 2**31 - 2]:
+        for _ in range(6):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[rng.randrange(t) for _ in range(n)] for _ in range(m)]
+            hf = howell_form(rows, t)
+            got = howell_form(np.array(rows, dtype=np.int64), t)
+            assert got == hf
+            assert all(type(a) is int for row in got.rows + got.kernel_rows for a in row)
+
+
+def test_divide_reads_an_int64_array():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(2029)
+    for t in [8, 12, 2147483629]:
+        for _ in range(10):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            hf = howell_form([[rng.randrange(t) for _ in range(n)] for _ in range(m)], t)
+            v = [rng.randrange(t) for _ in range(n)]
+            got = hf.divide(np.array(v, dtype=np.int64))
+            assert got == hf.divide(v)
+            assert all(type(a) is int for a in got[0] + got[1])
+
+
+def test_solve_rowspan_reads_numpy_zeros():
+    np = pytest.importorskip("numpy")
+    assert solve_rowspan(np.zeros((2, 3), dtype=np.int64), [0, 0, 0], 6) is not None
+    assert solve_rowspan(np.zeros((2, 3), dtype=np.int64), [1, 0, 0], 6) is None

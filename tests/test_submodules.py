@@ -144,11 +144,39 @@ def test_enumerate_order_is_independent_of_the_block(monkeypatch):
             ] == per_factor[-1]
 
 
+@pytest.mark.parametrize("moduli", [(2147483647,) * 3, (3, 2147483647) * 2, (2147483647, 2, 5)])
+def test_span_walk_at_the_field_edge(monkeypatch, moduli):
+    """Rows of entries t - 1 at t = 2^31 - 1, the widest field, alone and
+    beside narrower moduli: field sums reach 2t - 2 and wrap, and every
+    point, in count order, is its coefficients times the rows mod t.  Over
+    a prime t each nonzero entry has additive order t, so the radices here
+    are small walk lengths, not orders."""
+    rng = random.Random(sum(moduli))
+    rows = [([t - 1 for t in moduli], 3)]
+    for _ in range(3):
+        fields = [t - 1 if rng.random() < 0.6 else rng.randrange(t) for t in moduli]
+        rows.append((fields, rng.randint(2, 4)))
+    want = [
+        tuple(sum(c * f[j] for c, (f, _) in zip(cs, rows)) % t for j, t in enumerate(moduli))
+        for cs in product(*(range(r) for _, r in rows))
+    ]
+    B = howell.field_bits(moduli)
+    assert B == 32
+    for block in (1, 5, 4096):
+        monkeypatch.setattr(howell, "_BLOCK", block)
+        blocks = list(howell.span_walk(rows, moduli))
+        assert max(map(len, blocks)) <= block
+        got = [tuple(p >> B * j & (1 << B) - 1 for j in range(len(moduli)))
+               for b in blocks for p in b]
+        assert got == want
+
+
 def test_trivial_and_full_modules():
     spec = parse_ring("Z6")
     trivial = Submodule.from_generators(spec, 3, ())
     assert trivial.cardinality == 1
     assert list(trivial.enumerate()) == [zero_vec(spec, 3)]
+    assert list(Submodule.from_generators(spec, 0, ()).enumerate()) == [zero_vec(spec, 0)]
     full = Submodule.from_generators(
         spec, 2, [rv(spec, (1, 0)), rv(spec, (0, 1))]
     )
