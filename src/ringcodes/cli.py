@@ -45,7 +45,7 @@ Route = Callable[[ParityCheckSystem, argparse.Namespace], tuple[str, dict]]
 
 
 def _vec_json(v: RingVec):
-    return [e.residues[0] if len(e.residues) == 1 else list(e.residues) for e in v]
+    return [c[0] if len(c) == 1 else list(c) for c in v.coords]
 
 
 def _vec_human(v: RingVec) -> str:

@@ -34,7 +34,7 @@ import re
 from typing import Optional
 
 from .pcs import CodePresentation, ParityCheckSystem, code_to_pcs, validate_pcs
-from .rings import RingElem, RingSpec, RingVec, Value, parse_ring, zero_vec
+from .rings import RingSpec, RingVec, Value, parse_ring, zero_vec
 from .submodules import Submodule
 
 
@@ -78,30 +78,36 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
-def _parse_element(spec: RingSpec, token: str, lineno: int, col: int) -> RingElem:
-    k = spec.nfactors
-    if token.startswith("("):
-        if k == 1:
-            raise ParseError(
-                f"ring {spec} has one factor, write elements as bare integers",
-                lineno, col,
-            )
-        inner = token[1:-1]
-        parts = [p.strip() for p in inner.split(",")]
-        if len(parts) != k:
-            raise ParseError(
-                f"element {token} has {len(parts)} residues, ring {spec} needs {k}",
-                lineno, col,
-            )
-        return spec.elem(int(p) for p in parts)
-    if re.fullmatch(r"-?\d+", token):
-        if k != 1:
+def _vector(spec: RingSpec, tokens: list[tuple[str, int]], lineno: int) -> RingVec:
+    """A row's element tokens as one vector of reduced flat residues.  The
+    tokenizer has split them: an integer ends in a digit, junk is one other
+    character."""
+    k, factors = spec.nfactors, spec.factors
+    flat: list[int] = []
+    for token, col in tokens:
+        if token[0] == "(":
+            if k == 1:
+                raise ParseError(
+                    f"ring {spec} has one factor, write elements as bare integers",
+                    lineno, col,
+                )
+            parts = token[1:-1].split(",")
+            if len(parts) != k:
+                raise ParseError(
+                    f"element {token} has {len(parts)} residues, ring {spec} needs {k}",
+                    lineno, col,
+                )
+            flat += [int(p) % t for p, t in zip(parts, factors)]
+        elif not token[-1].isdecimal():
+            raise ParseError(f"unexpected token {token!r}", lineno, col)
+        elif k != 1:
             raise ParseError(
                 f"ring {spec} has {k} factors, write elements as (a,{',...' if k > 2 else 'b'})",
                 lineno, col,
             )
-        return spec.elem(int(token))
-    raise ParseError(f"unexpected token {token!r}", lineno, col)
+        else:
+            flat.append(int(token) % factors[0])
+    return RingVec._of(spec, tuple(flat))
 
 
 def _strip_comment(line: str) -> str:
@@ -156,8 +162,7 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError("only one '|' per row", no, c)
             if not left or not right:
                 raise ParseError("both sides of '|' need at least one entry", no, 1)
-            hv = RingVec.of(spec, [_parse_element(spec, t, no, c) for t, c in left])
-            sv = RingVec.of(spec, [_parse_element(spec, t, no, c) for t, c in right])
+            hv, sv = _vector(spec, left, no), _vector(spec, right, no)
             if n is None:
                 n, s = len(hv), len(sv)
             elif len(hv) != n or len(sv) != s:
@@ -185,7 +190,7 @@ def parse_problem(text: str) -> ProblemFile:
             if any(t == "|" for t, _ in toks):
                 _, c = next((t, c) for t, c in toks if t == "|")
                 raise ParseError("'|' does not belong in code mode", no, c)
-            v = RingVec.of(spec, [_parse_element(spec, t, no, c) for t, c in toks])
+            v = _vector(spec, toks, no)
             if width is None:
                 width = len(v)
             elif len(v) != width:
@@ -241,7 +246,7 @@ def as_presentation(pf: ProblemFile) -> CodePresentation:
 
 def parse_vector_literal(spec: RingSpec, text: str) -> RingVec:
     """A vector from the command line: elements split by commas or spaces."""
-    elems = [_parse_element(spec, tok, 1, col) for tok, col in _tokenize(text) if tok != ","]
-    if not elems:
+    tokens = [(tok, col) for tok, col in _tokenize(text) if tok != ","]
+    if not tokens:
         raise ParseError("empty vector", 1, 1)
-    return RingVec.of(spec, elems)
+    return _vector(spec, tokens, 1)

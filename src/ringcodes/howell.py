@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .rings import Value
+from .rings import Value, check_budget
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -161,6 +161,7 @@ class HowellForm(Value):
 
     def enumerate_span(self) -> Iterator[tuple[int, ...]]:
         """All span elements exactly once, coefficient odometer order."""
+        check_budget(self.span_cardinality(), "span enumeration")
         return span_tuples([self])
 
 

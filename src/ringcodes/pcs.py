@@ -23,7 +23,7 @@ from operator import mod, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from . import rings
-from .howell import HowellForm, _flat_steps, _reduce, howell_rows
+from .howell import HowellForm, _flat_steps, _reduce, flat_rows, howell_rows
 from .rings import (
     RingVec,
     check_budget,
@@ -120,7 +120,7 @@ class ParityCheckSystem:
         # the whole of member()
         self._col_index = {}
         for j, col in enumerate(self.s_cols, 1):
-            first = self._col_index.setdefault(_key(col), j)
+            first = self._col_index.setdefault(col.flat, j)
             if first != j:
                 raise ConditionIIViolation(first, j)
         # (iii): generators of the syzygy module must annihilate S's rows
@@ -157,16 +157,20 @@ class ParityCheckSystem:
 
     @cached_property
     def _syndrome_plan(self) -> tuple[list[int], list[tuple[int, int]], int]:
-        """H packed by _pack, the (offset, t) of each entry of the flat key, the mask."""
+        """H packed by _pack, the (offset, t) of each syndrome entry, the mask.
+
+        Entry i*k + f of H x^T, the RingVec.flat order, is the dot product of
+        x with row i's factor-f residues, the other factors' positions zero.
+        """
         k, factors = self.spec.nfactors, self.spec.factors
         rows = [[a if g == f else 0 for a in h.component(f) for g in range(k)]
-                for f in range(k) for h in self.h_rows]
+                for h in self.h_rows for f in range(k)]
         width = (self.n * (max(factors) - 1) ** 2).bit_length()
-        fields = [(width * e, t) for e, t in enumerate(t for t in factors for _ in self.h_rows)]
+        fields = [(width * e, t) for e, t in enumerate(factors * self.m)]
         return _pack(rows, width), fields, (1 << width) - 1
 
     def _flat_syndrome(self, x: RingVec) -> tuple[int, ...]:
-        """H x^T as the plain ints _key gives it: factor by factor, row by row."""
+        """H x^T as plain ints in RingVec.flat order: entry i*k + f is row i, factor f."""
         packed, fields, mask = self._syndrome_plan
         if x.spec is not self.spec and x.spec != self.spec or len(x.flat) != len(packed):
             raise ValueError("vector does not match the system's ambient space")
@@ -174,8 +178,7 @@ class ParityCheckSystem:
         return tuple([(acc >> b & mask) % t for b, t in fields])
 
     def syndrome(self, x: RingVec) -> RingVec:
-        blocks = zip(*[iter(self._flat_syndrome(x))] * self.m)  # one per factor
-        return RingVec._of(self.spec, tuple(chain.from_iterable(zip(*blocks))))
+        return RingVec._of(self.spec, self._flat_syndrome(x))
 
     @cached_property
     def ht_forms(self) -> tuple[HowellForm, ...]:
@@ -308,10 +311,8 @@ class CodePresentation:
         times L / t_f, 64 to a pack so that no field sits far up a long int,
         each pack with its exponent offsets; the largest field, an exponent
         before reduction mod L, is n sum_f (t_f - 1)^2 L / t_f, and sizes all."""
-        spec, k = self.spec, self.spec.nfactors
-        forms, weights = self.kernel.forms, spec.character_weights
-        tests = [[a if g == f else 0 for a in row for g in range(k)]
-                 for f, hf in enumerate(forms) for row in hf.rows]
+        spec, forms, weights = self.spec, self.kernel.forms, self.spec.character_weights
+        tests = [fields for fields, _ in flat_rows(forms, self.n)]
         exps = [list(map(mul, d.flat, cycle(weights))) for d in self.representatives]
         width = (self.n * sum((t - 1) ** 2 * w for t, w in zip(spec.factors, weights))).bit_length()
         fields = [(width * e, hf.modulus) for e, hf in enumerate(hf for hf in forms for _ in hf.rows)]
@@ -391,16 +392,11 @@ def _pack(rows: Sequence[Sequence[int]], width: int) -> list[int]:
     return [sum(a << width * e for e, a in enumerate(col)) for col in zip(*rows)]
 
 
-def _key(v: RingVec) -> tuple[int, ...]:
-    """A syndrome's residues as one flat int tuple, factor by factor."""
-    return tuple(chain.from_iterable(v.components()))
-
-
 def syndrome_filter(
     pcs: ParityCheckSystem, syndromes: Iterable[RingVec]
 ) -> Callable[[RingVec], bool]:
     """A test of whether H y^T is one of syndromes, on flat keys."""
-    keys = {_key(v) for v in syndromes}
+    keys = {v.flat for v in syndromes}
     return lambda y: pcs._flat_syndrome(y) in keys
 
 

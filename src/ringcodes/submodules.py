@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .howell import HowellForm, howell_rows, span_tuples
+from .howell import HowellForm, flat_rows, howell_rows, span_tuples
 from .rings import RingSpec, RingVec, check_budget, from_components
 
 
@@ -59,14 +59,8 @@ class Submodule:
 
     def canonical_generators(self) -> tuple[RingVec, ...]:
         """Howell rows lifted factor by factor; spans the module, may be empty."""
-        out = []
-        k = self.spec.nfactors
-        for f, hf in enumerate(self.forms):
-            for row in hf.rows:
-                flat = [0] * (k * self.ambient_n)
-                flat[f::k] = row
-                out.append(RingVec._of(self.spec, tuple(flat)))
-        return tuple(out)
+        return tuple(RingVec._of(self.spec, tuple(fields))
+                     for fields, _ in flat_rows(self.forms, self.ambient_n))
 
     def annihilator(self) -> "Submodule":
         """The dual module {y : x . y = 0 for every x in here}.

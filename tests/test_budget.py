@@ -32,6 +32,7 @@ from ringcodes import (
     weight_shell,
 )
 from ringcodes.cli import COMMANDS
+from ringcodes.howell import howell_rows
 from conftest import Z6, Z6_D_GENS, Z6_H, build_z6_pcs, build_z6_presentation, rv
 
 SRC = Path(ringcodes.__file__).resolve().parent
@@ -73,6 +74,8 @@ STAGES = {
         72,
         "states",
     ),
+    # one unit row over Z12
+    "span enumeration": (lambda: list(howell_rows([[1, 0]], 2, 12).enumerate_span()), 12, "states"),
     # the row span of the Z6 H; with s = 1 the pairs gate needs as many
     "row span walk": (lambda: pcs_enumerator_poly(_z6_one_column()), 18, "states"),
     # the 18 points of the Z6 row span times s^2 = 9 column pairs

@@ -4,6 +4,7 @@ import pytest
 
 from ringcodes import (
     ParseError,
+    RingVec,
     as_presentation,
     as_system,
     parse_problem,
@@ -220,3 +221,26 @@ def test_as_presentation_requires_code_mode():
     pf = parse_problem(Z6_PCS_TEXT)
     with pytest.raises(ValueError):
         as_presentation(pf)
+
+
+T = 2147483629
+
+
+@pytest.mark.parametrize(
+    "ring, text, items",
+    [
+        ("Z2147483629", f"{T - 1} -1 {T} {2 * T + 3}", [T - 1, -1, T, 2 * T + 3]),
+        ("Z2xZ3", "( 1 , -1 ) (-3,4) (0 ,  5)", [(1, -1), (-3, 4), (0, 5)]),
+        ("Z65521xZ65519", "(65520, -1) ( -65521 ,131040 ) (70000,65519)",
+         [(65520, -1), (-65521, 131040), (70000, 65519)]),
+    ],
+    ids=["Z2147483629", "Z2xZ3", "Z65521xZ65519"],
+)
+def test_every_row_kind_reduces_like_ringvec_of(ring, text, items):
+    spec = parse_ring(ring)
+    want = RingVec.of(spec, items)
+    pf = parse_problem(f"{ring}\npcs\n{text} | {text}\n{text} | {text}\n")
+    assert pf.h_rows == pf.s_rows == (want, want)
+    pf = parse_problem(f"{ring}\ncode\n{text}\n\n{text}\n")
+    assert pf.generators == pf.representatives == (want,)
+    assert parse_vector_literal(spec, text) == want

@@ -550,3 +550,27 @@ def test_syndromes_are_exact_at_the_packed_field_width(ring, n, m):
     assert member(system, x) == values.index(sigma) + 1
     assert pcsmod.syndrome_filter(system, [rv(spec, [sigma] * m)])(x)
     assert not pcsmod.syndrome_filter(system, [rv(spec, [(0,) * spec.nfactors] * m)])(x)
+
+
+@pytest.mark.parametrize("ring", ["Z2xZ3", "Z3xZ4", "Z2xZ4"])
+def test_syndromes_and_keys_share_the_flat_order(ring):
+    """H x^T entry i*k + f is row i, factor f, in _flat_syndrome, syndrome
+    and the column keys of member and syndrome_filter alike."""
+    spec = parse_ring(ring)
+    rng = random.Random(ring)
+    for m in (2, 3):
+        h_rows = [random_vec(rng, spec, 2) for _ in range(m)]
+        syndromes = {
+            RingVec.of(spec, [dot(h, x) for h in h_rows]): None
+            for x in (random_vec(rng, spec, 2) for _ in range(5))
+        }
+        cols = list(syndromes)
+        pcs = validate_pcs(h_rows, [RingVec.of(spec, [c[i] for c in cols]) for i in range(m)])
+        assert pcs.s_cols == tuple(cols)
+        some = pcsmod.syndrome_filter(pcs, cols[::2])
+        for x in enumerate_vectors(spec, 2):
+            sigma = pcs.syndrome(x)
+            assert sigma == RingVec.of(spec, [dot(h, x) for h in h_rows])
+            assert pcs._flat_syndrome(x) == sigma.flat
+            assert member(pcs, x) == (cols.index(sigma) + 1 if sigma in cols else None)
+            assert some(x) == (sigma in cols[::2])
