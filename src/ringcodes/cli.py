@@ -48,10 +48,6 @@ def _vec_json(v: RingVec):
     return [c[0] if len(c) == 1 else list(c) for c in v.coords]
 
 
-def _vec_human(v: RingVec) -> str:
-    return "[" + " ".join(str(e) for e in v) + "]"
-
-
 def _point(pcs: ParityCheckSystem, text: str, what: str) -> RingVec:
     x = parse_vector_literal(pcs.spec, text)
     if len(x) != pcs.n:
@@ -117,8 +113,7 @@ def _to_pcs(pcs, args):
 def _mindist(pcs, args):
     d, witness = ringcodes.min_distance_witness(pcs)
     syn = pcs.syndrome(witness)
-    return (f"minimum distance: {d}  witness {_vec_human(witness)} "
-            f"with syndrome {_vec_human(syn)}",
+    return (f"minimum distance: {d}  witness {witness} with syndrome {syn}",
             {"min_distance": d, "witness": _vec_json(witness),
              "witness_syndrome": _vec_json(syn)})
 
@@ -147,8 +142,8 @@ def _decode(pcs, args, oracle: bool):
         res = decoder(pcs, _point(pcs, args.word, "word"))
     except ringcodes.BeyondRadius as exc:
         return f"beyond radius {exc.radius}", {"status": "beyond_radius", "radius": exc.radius}
-    return (f"codeword {_vec_human(res.codeword)} (coset {res.coset_index}), "
-            f"error {_vec_human(res.error_vector)} of weight {res.error_weight}",
+    return (f"codeword {res.codeword} (coset {res.coset_index}), "
+            f"error {res.error_vector} of weight {res.error_weight}",
             {"status": "ok", "codeword": _vec_json(res.codeword),
              "coset_index": res.coset_index,
              "error_vector": _vec_json(res.error_vector),
@@ -159,14 +154,14 @@ def _kernel(pcs, args):
     ker = kernel(pcs)
     gens = ker.canonical_generators()
     return (f"kernel cardinality {ker.cardinality}, generators:\n"
-            + "\n".join(_vec_human(g) for g in gens),
+            + "\n".join(map(str, gens)),
             {"cardinality": ker.cardinality, "generators": [_vec_json(g) for g in gens]})
 
 
 def _kernel_oracle(pcs, args):
     kernel_words = ringcodes.oracle_kernel(ringcodes.oracle_code_from_pcs(pcs))
     elems = sorted(kernel_words, key=lambda v: v.coords)
-    return (f"kernel cardinality {len(elems)}:\n" + "\n".join(_vec_human(v) for v in elems),
+    return (f"kernel cardinality {len(elems)}:\n" + "\n".join(map(str, elems)),
             {"cardinality": len(elems), "elements": [_vec_json(v) for v in elems]})
 
 

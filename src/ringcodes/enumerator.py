@@ -32,9 +32,8 @@ from collections import Counter
 from typing import Sequence
 
 from .howell import field_bits, flat_rows, span_walk
-from .pcs import ParityCheckSystem, is_linear, pcs_to_code
+from .pcs import ParityCheckSystem, is_linear, kernel
 from .rings import Value, check_budget
-from .submodules import Submodule
 
 
 class NonIntegerCoefficient(Exception):
@@ -217,9 +216,10 @@ def weight_enumerator_linear(pcs: ParityCheckSystem) -> EnumeratorPoly:
     """Weight enumerator of a linear code, cross-checked along two routes.
 
     Route one divides the distance distribution by |C|.  Route two builds
-    the actual dual code (the annihilator of the module the code spans) and
-    MacWilliams-transforms its weight enumerator.  The routes must agree
-    coefficient by coefficient; a mismatch means a bug, not bad input.
+    the actual dual code, the annihilator of the code's kernel (a linear
+    code is its own kernel), and MacWilliams-transforms its weight
+    enumerator.  The routes must agree coefficient by coefficient; a
+    mismatch means a bug, not bad input.
     """
     if not is_linear(pcs):
         raise ValueError("the code of this system is not linear")
@@ -227,12 +227,7 @@ def weight_enumerator_linear(pcs: ParityCheckSystem) -> EnumeratorPoly:
     direct = _divide_exact(distance_distribution(pcs).coeffs, size)
     direct_poly = EnumeratorPoly(pcs.n, tuple(direct))
 
-    pres = pcs_to_code(pcs)
-    code_module = Submodule.from_generators(
-        pcs.spec,
-        pcs.n,
-        pcs.kernel_module.canonical_generators() + pres.representatives,
-    )
+    code_module = kernel(pcs)
     if code_module.cardinality != size:  # pragma: no cover - guarded by is_linear
         raise AssertionError("linear code does not span its own cardinality")
     # the dual lies in the row span of H, which route one walked in budget

@@ -33,7 +33,6 @@ from .rings import (
     check_budget,
     dot,
     enumerate_vectors,
-    vec_neg,
 )
 
 
@@ -242,7 +241,8 @@ def poisson_sum(
     """Sum of f over the code, evaluated entirely on the dual side.
 
     Uses sum_{c in C} f(c) = |R|^(-n) sum_{x in dual(D)} f_hat(x) g(x) with
-    g the Fourier coefficient of the reflected code -C.  When f_hat is not
+    g the Fourier coefficient of -C, which is the conjugate of C's since
+    chi_x(-y) is the conjugate of chi_x(y).  When f_hat is not
     supplied the naive transform f_hat(x) = sum_y f(y) chi_x(-y) is used,
     which scans R^n once per dual element; the scan is budget-gated.
     """
@@ -261,10 +261,7 @@ def poisson_sum(
                 acc += fy * _root((-eps.exponent(dot(x, y))) % L, L)
             return acc
 
-    reflected = CodePresentation(
-        pres.kernel, tuple(vec_neg(d) for d in pres.representatives)
-    )
     acc = 0j
     for x in dual.enumerate():
-        acc += f_hat(x) * fourier_coeff_coset(reflected, x).evaluate()
+        acc += f_hat(x) * fourier_coeff_coset(pres, x).conjugate().evaluate()
     return acc / spec.cardinality**n

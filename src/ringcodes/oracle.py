@@ -22,6 +22,7 @@ from .rings import (
     scale,
     vec_add,
     vec_sub,
+    zero_vec,
 )
 
 
@@ -92,8 +93,8 @@ def oracle_kernel(code: ExplicitCode) -> frozenset[RingVec]:
     words = code.words
     first = next(iter(sorted(words, key=lambda v: v.coords)))
     candidates = {vec_sub(w, first) for w in words}
+    check_budget(len(candidates) * len(words) * code.spec.cardinality, "kernel scan")
     scalars = code.spec.elements()
-    check_budget(len(candidates) * len(words) * len(scalars), "kernel scan")
     out = []
     for y in candidates:
         ok = True
@@ -115,6 +116,7 @@ def oracle_is_linear(code: ExplicitCode) -> bool:
         for b in words:
             if vec_add(a, b) not in words:
                 return False
+    check_budget(len(words) * code.spec.cardinality, "scalar scan")
     for r in code.spec.elements():
         for a in words:
             if scale(r, a) not in words:
@@ -191,15 +193,12 @@ def oracle_validate(
         for b in range(a + 1, s):
             if cols[a] == cols[b]:
                 return (2, (a + 1, b + 1))
+    zero_h, zero_s = zero_vec(spec, n), zero_vec(spec, s)
     for r in enumerate_vectors(spec, m):
-        combo_h = None
-        combo_s = None
+        combo_h, combo_s = zero_h, zero_s
         for i in range(m):
-            sh = scale(r[i], h_rows[i])
-            ss = scale(r[i], s_rows[i])
-            combo_h = sh if combo_h is None else vec_add(combo_h, sh)
-            combo_s = ss if combo_s is None else vec_add(combo_s, ss)
-        if all(c == (0,) * spec.nfactors for c in combo_h.coords):
-            if any(c != (0,) * spec.nfactors for c in combo_s.coords):
-                return (3, tuple(r[i] for i in range(m)))
+            combo_h = vec_add(combo_h, scale(r[i], h_rows[i]))
+            combo_s = vec_add(combo_s, scale(r[i], s_rows[i]))
+        if combo_h == zero_h and combo_s != zero_s:
+            return (3, tuple(r[i] for i in range(m)))
     return None

@@ -29,7 +29,6 @@ from .rings import (
     check_budget,
     dot,
     scale,
-    vec_add,
     vec_sub,
     zero_vec,
 )
@@ -123,13 +122,10 @@ class ParityCheckSystem:
             first = self._col_index.setdefault(col.flat, j)
             if first != j:
                 raise ConditionIIViolation(first, j)
-        # (iii): generators of the syzygy module must annihilate S's rows
-        zero_s = zero_vec(spec, self.s)
+        # (iii): generators r of the syzygy module must give r S = 0, i.e.
+        # r . S_j = 0 for every column S_j
         for r in left_kernel(spec, self.row_module.forms).canonical_generators():
-            combo = zero_s
-            for c, row in zip(r, self.s_rows):
-                combo = vec_add(combo, scale(c, row))
-            if combo != zero_s:
+            if any(not dot(r, col).is_zero() for col in self.s_cols):
                 raise ConditionIIIViolation(r)
         self._syndrome_space: Optional[SyndromeSpace] = None
         # (distance, witness), filled by distance.min_distance_witness
@@ -409,8 +405,8 @@ def kernel(pcs: ParityCheckSystem) -> Submodule:
     """The kernel of the code: {y : r y + c stays in the code for all r, c}.
 
     It is the preimage under H of the kernel syndromes, so in each factor it
-    is spanned by D, the kernel rows of ht_forms, and one solve per kernel
-    syndrome.  For a linear code those syndromes are all of col(S), the
+    is spanned by D, the kernel rows of ht_forms, and the preimage of each
+    kernel syndrome.  For a linear code those syndromes are all of col(S), the
     annihilator of the syzygies of S's rows (see is_linear), and its
     canonical generators stand in for its s elements; otherwise
     _kernel_syndromes lists them from the column differences.
@@ -421,12 +417,13 @@ def kernel(pcs: ParityCheckSystem) -> Submodule:
         syndromes = left_kernel(spec, s_span.forms).annihilator().canonical_generators()
     else:
         syndromes = _kernel_syndromes(pcs)
-    parts = []
-    for f, ht in enumerate(pcs.ht_forms):
-        pullbacks = [ht.solve(sigma.component(f)) for sigma in syndromes]
-        if None in pullbacks:
-            raise InternalInconsistency("kernel syndrome has no preimage")
-        parts.append(howell_rows([*ht.kernel_rows, *pullbacks], pcs.n, ht.modulus))
+    pullbacks = [pcs.preimage(sigma) for sigma in syndromes]
+    if None in pullbacks:
+        raise InternalInconsistency("kernel syndrome has no preimage")
+    parts = [
+        howell_rows([*ht.kernel_rows, *(x.component(f) for x in pullbacks)], pcs.n, ht.modulus)
+        for f, ht in enumerate(pcs.ht_forms)
+    ]
     return Submodule(spec, pcs.n, parts)
 
 

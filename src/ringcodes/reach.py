@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import mul, or_
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rings import RingSpec, RingVec
 
@@ -51,7 +51,8 @@ class SyndromeSpace:
         self.shifts = [list(dict.fromkeys(d)) for d in self.digits]
         # (axis, offset) -> (lo, up, down), built on first use
         self._masks: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self._tables: dict[frozenset[int], ReachTable] = {}
+        # (seed set, table) of the last build: a cached distance never reads its own
+        self._table: Optional[tuple[frozenset[int], ReachTable]] = None
 
     @staticmethod
     def cost(spec: RingSpec, m: int, n: int) -> tuple[int, int]:
@@ -86,11 +87,11 @@ class SyndromeSpace:
         return reduce(or_, [self.translate(bits, u) for u in self.shifts[j]])
 
     def table(self, seeds: Iterable[RingVec]) -> "ReachTable":
-        """The reach table seeded with these syndromes, cached per seed set."""
+        """The reach table seeded with these syndromes; the last one is kept."""
         key = frozenset(self.index(z) for z in seeds)
-        if key not in self._tables:
-            self._tables[key] = ReachTable(self, key)
-        return self._tables[key]
+        if self._table is None or self._table[0] != key:
+            self._table = key, ReachTable(self, key)
+        return self._table[1]
 
 
 class ReachTable:

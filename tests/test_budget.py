@@ -18,11 +18,13 @@ import ringcodes
 from ringcodes import (
     BudgetExceeded,
     ExplicitCode,
+    RingSpec,
     Submodule,
     enumerate_vectors,
     is_linear,
     kernel,
     min_distance_witness,
+    oracle_is_linear,
     oracle_kernel,
     oracle_min_distance,
     parse_ring,
@@ -30,6 +32,7 @@ from ringcodes import (
     poisson_sum,
     validate_pcs,
     weight_shell,
+    zero_vec,
 )
 from ringcodes.cli import COMMANDS
 from ringcodes.howell import howell_rows
@@ -40,6 +43,11 @@ SRC = Path(ringcodes.__file__).resolve().parent
 
 def _small_code() -> ExplicitCode:
     return ExplicitCode(Z6, 2, frozenset(rv(Z6, (a, 0)) for a in range(6)))
+
+
+def _two_word_code() -> ExplicitCode:
+    """{0, 3} in Z6: closed under sums, so the scalar scan is reached."""
+    return ExplicitCode(Z6, 1, frozenset({rv(Z6, (0,)), rv(Z6, (3,))}))
 
 
 def _z7_columns(count: int):
@@ -92,6 +100,8 @@ STAGES = {
     ),
     # 6 words, 6^2 ordered pairs
     "all-pairs scan": (lambda: oracle_min_distance(_small_code()), 36, "states"),
+    # 2 words * 6 scalars, after 2^2 word pairs
+    "scalar scan": (lambda: oracle_is_linear(_two_word_code()), 12, "states"),
     # 6 candidates * 6 words * 6 scalars
     "kernel scan": (lambda: oracle_kernel(_small_code()), 216, "states"),
     # one point times L = 6 dense counts
@@ -122,6 +132,20 @@ def test_weight_shell_is_gated_before_listing_residues():
     with pytest.raises(BudgetExceeded) as exc:
         next(weight_shell(parse_ring("Z2xZ2147483629"), 1, 1))
     assert (exc.value.what, exc.value.needed) == ("weight shell", 2 * 2147483629 - 1)
+
+
+def test_oracle_scalar_scans_are_gated_before_listing_the_ring(monkeypatch):
+    # |R| is about 2.1e9 elements, so a listing would not return
+    def listing(spec):
+        raise AssertionError("the ring's elements were listed before the gate")
+
+    monkeypatch.setattr(RingSpec, "elements", listing)
+    ring = parse_ring("Z2147483629")
+    code = ExplicitCode(ring, 1, frozenset({zero_vec(ring, 1)}))
+    for scan, what in ((oracle_is_linear, "scalar scan"), (oracle_kernel, "kernel scan")):
+        with pytest.raises(BudgetExceeded) as exc:
+            scan(code)
+        assert (exc.value.what, exc.value.needed) == (what, 2147483629)
 
 
 def _constructions(tree: ast.AST) -> list[ast.Call]:

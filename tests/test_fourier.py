@@ -28,6 +28,7 @@ from ringcodes import (
     scale,
     validate_pcs,
     vec_add,
+    vec_neg,
     weight,
     zero_vec,
 )
@@ -593,6 +594,27 @@ def test_poisson_accepts_a_supplied_transform():
     direct = sum(f(c) for c in code_words(pres))
     got = poisson_sum(pres, f, f_hat=f_hat)
     assert abs(got - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_poisson_sum_conjugates_instead_of_reflecting_the_code():
+    # chi_x(-y) = conj chi_x(y): the coefficients of -C, from the reflected
+    # presentation, are C's conjugated term for term, so a sum over them
+    # gives the same floats
+    rng = random.Random(2468)
+    for _ in range(24):
+        _, pres = random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)
+        reflected = CodePresentation(pres.kernel, tuple(map(vec_neg, pres.representatives)))
+        for x in enumerate_vectors(pres.spec, pres.n):
+            assert fourier_coeff_coset(reflected, x) == fourier_coeff_coset(pres, x).conjugate()
+
+        def f_hat(x):
+            return complex(weight(x) + 0.25, sum(x.flat) / 3)
+
+        acc = 0j
+        for x in pres.dual_module().enumerate():
+            acc += f_hat(x) * fourier_coeff_coset(reflected, x).evaluate()
+        expected = acc / pres.spec.cardinality**pres.n
+        assert poisson_sum(pres, lambda v: 0.0, f_hat=f_hat) == expected
 
 
 def test_poisson_budget_gate(monkeypatch):

@@ -1,6 +1,8 @@
 """The package namespace and the value classes' equality, hash and repr."""
 
+import ast
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +139,18 @@ def test_value_class_contract(name):
 def test_value_class_constructor_errors(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def test_every_imported_name_is_used():
+    # no linter runs offline, so a name a change leaves imported shows here
+    for path in sorted(Path(ringcodes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == [], path.name

@@ -104,6 +104,49 @@ def test_condition_iii_violation_broken_dependency():
     assert vec_add(scale(w[0], s_rows[0]), scale(w[1], s_rows[1])) != zero_vec(Z6, 2)
 
 
+def _row_combination_witness(h_rows, s_rows):
+    """The first canonical syzygy generator r of H's rows with r S != 0, by
+    summing c_i * (row i of S), or None."""
+    spec, n, s = h_rows[0].spec, len(h_rows[0]), len(s_rows[0])
+    zero_s = zero_vec(spec, s)
+    forms = Submodule.from_generators(spec, n, h_rows).forms
+    for r in submodules.left_kernel(spec, forms).canonical_generators():
+        combo = zero_s
+        for c, row in zip(r, s_rows):
+            combo = vec_add(combo, scale(c, row))
+        if combo != zero_s:
+            return r
+    return None
+
+
+def test_condition_iii_witness_matches_the_row_combinations():
+    # plant a row h = sum c_i h_i of H with S entries h . (d_j + e_j) for the
+    # representatives d_j: (i) and (ii) hold, (iii) fails when some h . e_j != 0
+    rng = random.Random(1357)
+    raised = 0
+    for _ in range(40):
+        pcs, _ = random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)
+        spec = pcs.spec
+        h = zero_vec(spec, pcs.n)
+        for row in pcs.h_rows:
+            h = vec_add(h, scale(random_vec(rng, spec, 1)[0], row))
+        off = [random_vec(rng, spec, pcs.n) if rng.random() < 0.5 else zero_vec(spec, pcs.n)
+               for _ in range(pcs.s)]
+        reps = pcs_to_code(pcs).representatives
+        s_row = RingVec.of(spec, [dot(h, vec_add(d, e)) for d, e in zip(reps, off)])
+        i = rng.randint(0, pcs.m)
+        h_rows = [*pcs.h_rows[:i], h, *pcs.h_rows[i:]]
+        s_rows = [*pcs.s_rows[:i], s_row, *pcs.s_rows[i:]]
+        try:
+            validate_pcs(h_rows, s_rows)
+            got = None
+        except ConditionIIIViolation as exc:
+            got = exc.witness
+            raised += 1
+        assert got == _row_combination_witness(h_rows, s_rows)
+    assert raised >= 10
+
+
 def test_validate_requires_consistent_shapes():
     with pytest.raises(ValueError):
         ParityCheckSystem([], [])
@@ -389,6 +432,16 @@ def test_kernel_of_linear_code_is_the_code_itself():
     ker = kernel(pcs)
     assert ker.cardinality == 8
     assert set(ker.enumerate()) == code_words(pres)
+
+
+def test_kernel_of_a_linear_code_is_d_and_its_representatives():
+    # the code spanned by D's generators and the pcs_to_code representatives
+    rng = random.Random(8086)
+    for _ in range(30):
+        pcs = random_linear_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)
+        gens = pcs.kernel_module.canonical_generators() + pcs_to_code(pcs).representatives
+        assert is_linear(pcs)
+        assert kernel(pcs) == Submodule.from_generators(pcs.spec, pcs.n, gens)
 
 
 def test_kernel_matches_scan_random():
