@@ -174,8 +174,8 @@ def _fourier_entry(pcs, x, code: Optional[ringcodes.ExplicitCode]) -> dict:
     if code is not None:
         v, entry = ringcodes.oracle_fourier(code, x), {}
     else:
-        qs = pcs._quotients(x)  # one division feeds both the coefficient and S_x
-        es, s_x = ringcodes.fourier._coeff_pcs(pcs, qs), pcs._s_row(qs)
+        es = ringcodes.fourier_coeff_pcs(pcs, x)  # no terms exactly off the row span
+        s_x = pcs._s_on_span(x) if es.terms else None
         v = es.evaluate()
         entry = {"counts": list(es.counts), "order": es.order,
                  "s_x": _vec_json(s_x) if s_x is not None else None}

@@ -144,8 +144,10 @@ def _weight_bins(pcs: ParityCheckSystem) -> list[int]:
     spec, n, s, k = pcs.spec, pcs.n, pcs.s, pcs.spec.nfactors
     L = spec.char_order
     rows, moduli = flat_rows(pcs.hs_forms, n), spec.factors * n
-    if s > 1:  # s = 1 has no pair j < l to read the exponents
-        rows = [(fields + exps, r) for (fields, r), *exps in zip(rows, *pcs._exponent_cols)]
+    if s > 1:  # s = 1 has no pair j < l to read the exponents; each row's S part times L / t_f
+        exps = [[w * a for a in row[n:]] for w, hf in zip(spec.character_weights, pcs.hs_forms)
+                for row in hf.rows]
+        rows = [(fields + e, r) for (fields, r), e in zip(rows, exps)]
         moduli += (L,) * s
     E = field_bits(moduli)
     shift, emask = E * k * n, (1 << E) - 1

@@ -10,10 +10,11 @@ floating-point complex numbers at the very end.  A coefficient therefore
 costs O(s) memory at any L; the dense L counts are only ever generated
 on demand.
 
-Two independent routes compute the same coefficient: a sum over the coset
-representatives of the code, and a sum over one syndrome row combination
-of its system.  Keeping both exact makes their agreement testable with
-plain equality.
+Two routes compute the same coefficient, |D| sum_j zeta^(-eps(x . a_j)) on
+the dual of D: the coset route reads the a_j off the representatives, the
+system route solves them from the Howell rows of [H | S] (x . a_j = S_x(j)
+on the row span of H).  One evaluator reads both plans, which come from
+different matrices; kept exact, they agree with plain equality.
 """
 
 from __future__ import annotations
@@ -88,8 +89,6 @@ class ExponentSum(Value):
         merging runs of equal exponents takes about half the time of
         _collect's sort of (exponent, count) pairs.
         """
-        if len(exponents) == 1:
-            return cls._of(order, ((exponents[0], count),))
         exponents.sort()
         terms, prev, run = [], None, 0
         for k in exponents:
@@ -187,29 +186,33 @@ def character_exponent(x: RingVec, y: RingVec) -> int:
     return generating_character(x.spec).exponent(dot(x, y))
 
 
-def fourier_coeff_coset(pres: CodePresentation, x: RingVec) -> ExponentSum:
-    """Fourier coefficient of the code's indicator from its coset presentation.
-
-    Supported exactly on the dual of D, where it equals
-    |D| * sum_j zeta^(-eps(x . d_j)).  One multiply-accumulate per pack of
-    pres._coset_plan gives x . g for the Howell rows g of D, which generate
-    D, and each eps(x . d_j) before its reduction mod L.
-    """
-    spec = pres.spec
-    packs, fields, mask = pres._coset_plan
+def _coefficient(plan: tuple, x: RingVec) -> ExponentSum:
+    """scale * sum_a zeta^(-eps(x . a)) over the rows a of a pcs._plan, or zero
+    at the first Howell row g with x . g != 0 mod t_f: one multiply-accumulate
+    per pack, and for one row one term, with no sort."""
+    spec, L, scale, _, packs, fields, mask, refusal = plan
     if x.spec is not spec and x.spec != spec or len(x.flat) != len(packs[0][0]):
-        raise ValueError("vector does not live in the ambient space")
-    L = spec.char_order
+        raise ValueError(refusal)
     exps = []
     for packed, offsets in packs:
         acc = sum(map(mul, x.flat, packed))
-        # D's Howell rows lead the first pack only; a loop beats any() on 3.11
-        for b, t in fields:
+        for b, t in fields:  # a loop beats any() on 3.11
             if (acc >> b & mask) % t:
                 return ExponentSum.zero(L)
         fields = ()
         exps += [-(acc >> b & mask) % L for b in offsets]
-    return ExponentSum._runs(L, exps, pres.kernel.cardinality)
+    if len(exps) == 1:
+        return ExponentSum._of(L, ((exps[0], scale),))
+    return ExponentSum._runs(L, exps, scale)
+
+
+def fourier_coeff_coset(pres: CodePresentation, x: RingVec) -> ExponentSum:
+    """Fourier coefficient of the code's indicator from its coset presentation.
+
+    Supported exactly on the dual of D, where it equals
+    |D| * sum_j zeta^(-eps(x . d_j)) over the representatives d_j.
+    """
+    return _coefficient(pres._character_plan, x)
 
 
 def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
@@ -218,19 +221,7 @@ def fourier_coeff_pcs(pcs: ParityCheckSystem, x: RingVec) -> ExponentSum:
     Supported exactly on the row span of H, where it equals
     (|R|^n / |row span|) * sum_j zeta^(-eps(S_x(j))).
     """
-    return _coeff_pcs(pcs, pcs._quotients(x))
-
-
-def _coeff_pcs(pcs: ParityCheckSystem, qs: Optional[list[int]]) -> ExponentSum:
-    """The system-side coefficient from the quotients pcs._quotients(x) returns."""
-    L = pcs.spec.char_order
-    if qs is None:
-        return ExponentSum.zero(L)
-    # eps(S_x(j)) = sum q_i * (L / t_f) * (S part)_i[j], without forming S_x
-    exps = []
-    for col in pcs._exponent_cols:
-        exps.append(-sum(map(mul, qs, col)) % L)
-    return ExponentSum._runs(L, exps, pcs.kernel_cardinality)
+    return _coefficient(pcs._character_plan, x)
 
 
 def poisson_sum(

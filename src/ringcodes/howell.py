@@ -255,11 +255,13 @@ def span_walk(rows: Sequence[tuple[Sequence[int], int]], moduli: Sequence[int]) 
         cm = [0]  # cm[c] = c * m
         for _ in range(r - 1):
             cm.append(add(cm[-1], m))
-        base += [add(a, b) for a in cm[1:] for b in base]
+        base += [(x := a + b) - (((h := x + K & TOP) - (h >> sh)) & TP)
+                 for a in cm[1:] for b in base]  # add, inlined: a call per point costs more
     # the slower rows offset the base, as many offsets per block as fit
     block: list[int] = []
     for q in offsets(packed[:j]):
-        block += [add(q, b) for b in base] if q else base
+        block += [(x := q + b) - (((h := x + K & TOP) - (h >> sh)) & TP)
+                  for b in base] if q else base
         if len(block) + size > _BLOCK:
             yield block
             block = []

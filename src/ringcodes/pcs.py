@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, cycle
+from itertools import cycle
 from operator import mod, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -28,11 +28,12 @@ from .rings import (
     RingVec,
     check_budget,
     dot,
+    from_components,
     scale,
     vec_sub,
     zero_vec,
 )
-from .submodules import Submodule, left_kernel, solve_forms, transpose_forms
+from .submodules import Submodule, left_kernel, solve_forms, transpose_forms, transposed_forms
 
 if TYPE_CHECKING:
     from .reach import SyndromeSpace
@@ -137,6 +138,11 @@ class ParityCheckSystem:
         return Submodule.from_generators(self.spec, self.n, self.h_rows)
 
     @cached_property
+    def s_span(self) -> Submodule:
+        """The submodule of R^s generated by the rows of S, read by is_linear and kernel."""
+        return Submodule.from_generators(self.spec, self.s, self.s_rows)
+
+    @cached_property
     def kernel_module(self) -> Submodule:
         """D = {x : H x^T = 0}, the common kernel of the checks, from ht_forms."""
         return left_kernel(self.spec, self.ht_forms)
@@ -202,8 +208,8 @@ class ParityCheckSystem:
         By condition (iii) the span of [H | S] lists exactly the pairs
         (h, S_h), S_h = r S for any r with r H = h, so extending each Howell
         row T_i H of H by T_i S gives the unique Howell form of [H | S], with
-        H's pivots, transform and kernel rows.  _quotients and _s_row rely
-        on its H part being row_module.forms row for row.
+        H's pivots, transform and kernel rows.  Its H part is row_module.forms
+        row for row; _character_plan reads its S part.
         """
         forms = []
         s_parts = zip(*(row.components() for row in self.s_rows))
@@ -218,44 +224,32 @@ class ParityCheckSystem:
         return tuple(forms)
 
     @cached_property
-    def _exponent_cols(self) -> tuple[tuple[int, ...], ...]:
-        """Per column j of S: (L / t_f) * S part[j] of each row of hs_forms, in order."""
-        n, weights = self.n, self.spec.character_weights
-        rows = [(w, row[n:]) for w, hf in zip(weights, self.hs_forms) for row in hf.rows]
-        return tuple(tuple(w * part[j] for w, part in rows) for j in range(self.s))
+    def _character_plan(self) -> tuple:
+        """The _plan of fourier_coeff_pcs, from H's Howell rows G and hs_forms' S part.
 
-    @cached_property
-    def _division_plan(self) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-        """The _flat_steps of row_module.forms and the modulus of each flat entry."""
-        return _flat_steps(self.row_module.forms), self.spec.factors * self.n
-
-    def _quotients(self, x: RingVec) -> Optional[list[int]]:
-        """The greedy quotients of x by row_module.forms, factor after factor, or
-        None outside the row span.  They are those of [x | 0] by hs_forms,
-        whose H part is the same rows."""
-        steps, mods = self._division_plan
-        if x.spec is not self.spec and x.spec != self.spec or len(x.flat) != len(mods):
-            raise ValueError("vector does not match the system's ambient space")
-        v = [*x.flat]
-        qs = _reduce(steps, v)
-        return None if any(map(mod, v, mods)) else qs
+        Per factor, the kernel rows of T = the form of G^T span D = {y : G y^T = 0},
+        whose dual is the row span of H over a Frobenius ring (Wood 1999), and
+        a_j = T.solve(sigma_j), sigma_j column j of the S part, has
+        g_i . a_j = sigma_i[j] for each Howell row g_i: S_x(j) = x . a_j there.
+        """
+        ts = transposed_forms(self.row_module.forms)
+        parts = [[T.solve([row[self.n + j] for row in hs.rows]) for j in range(self.s)]
+                 for T, hs in zip(ts, self.hs_forms)]
+        if any(None in sols for sols in parts):
+            raise InternalInconsistency("a column of S has no solution against H's rows")
+        return _plan(self.spec, self.n, left_kernel(self.spec, ts).forms,
+                     [from_components(self.spec, a) for a in zip(*parts)],
+                     self.kernel_cardinality, "vector does not match the system's ambient space")
 
     def s_row(self, x: RingVec) -> Optional[RingVec]:
-        """S_x, paired with x in the span of [H | S], or None outside the row span.
+        """S_x, paired with x in the span of [H | S], or None outside the row span."""
+        from .fourier import fourier_coeff_pcs
 
-        S_x = sum q_i (S part)_i mod t over the greedy quotients of [x | 0].
-        """
-        return self._s_row(self._quotients(x))
+        return self._s_on_span(x) if fourier_coeff_pcs(self, x).terms else None
 
-    def _s_row(self, qs: Optional[list[int]]) -> Optional[RingVec]:
-        """S_x from the quotients _quotients(x) returns (None gives None)."""
-        if qs is None:
-            return None
-        parts, it = [], iter(qs)
-        for hf in self.hs_forms:
-            rows = [(q, row[self.n :]) for row, q in zip(hf.rows, it)]
-            parts.append([sum(q * part[j] for q, part in rows) % hf.modulus for j in range(self.s)])
-        return RingVec._of(self.spec, tuple(chain.from_iterable(zip(*parts))))
+    def _s_on_span(self, x: RingVec) -> RingVec:
+        """S_x(j) = x . a_j, for x in the row span (see _character_plan)."""
+        return RingVec.of(self.spec, [dot(x, a) for a in self._character_plan[3]])
 
     def code_cardinality(self) -> int:
         return self.s * self.kernel_cardinality
@@ -301,23 +295,10 @@ class CodePresentation:
             raise ValueError(f"representatives {i + 1} and {j + 1} present the same coset")
 
     @cached_property
-    def _coset_plan(self) -> tuple[list[tuple[list[int], range]], list[tuple[int, int]], int]:
-        """The rows of fourier_coeff_coset packed by _pack: D's Howell rows, with
-        their (offset, t_f) fields, then per representative d its flat residues
-        times L / t_f, 64 to a pack so that no field sits far up a long int,
-        each pack with its exponent offsets; the largest field, an exponent
-        before reduction mod L, is n sum_f (t_f - 1)^2 L / t_f, and sizes all."""
-        spec, forms, weights = self.spec, self.kernel.forms, self.spec.character_weights
-        tests = [fields for fields, _ in flat_rows(forms, self.n)]
-        exps = [list(map(mul, d.flat, cycle(weights))) for d in self.representatives]
-        width = (self.n * sum((t - 1) ** 2 * w for t, w in zip(spec.factors, weights))).bit_length()
-        fields = [(width * e, hf.modulus) for e, hf in enumerate(hf for hf in forms for _ in hf.rows)]
-        packs, head = [], tests
-        for i in range(0, len(exps), 64):
-            rows = head + exps[i:i + 64]
-            packs.append((_pack(rows, width), range(width * len(head), width * len(rows), width)))
-            head = []
-        return packs, fields, (1 << width) - 1
+    def _character_plan(self) -> tuple:
+        """The _plan of fourier_coeff_coset, from D's forms and the representatives."""
+        return _plan(self.spec, self.n, self.kernel.forms, self.representatives,
+                     self.kernel.cardinality, "vector does not live in the ambient space")
 
     @property
     def s(self) -> int:
@@ -388,6 +369,27 @@ def _pack(rows: Sequence[Sequence[int]], width: int) -> list[int]:
     return [sum(a << width * e for e, a in enumerate(col)) for col in zip(*rows)]
 
 
+def _plan(spec: rings.RingSpec, n: int, forms: Sequence[HowellForm],
+          rows: Sequence[RingVec], scale: int, refusal: str) -> tuple:
+    """(spec, L, scale, rows, packs, fields, mask, refusal): the plan of scale *
+    sum_a zeta^(-eps(x . a)) over the vectors a in rows, where x . g = 0 mod t_f
+    for the Howell rows g of forms.  _pack packs the g with their (offset, t_f)
+    fields, then each a.flat times L / t_f, 64 to a pack with its exponent
+    offsets (a field far up a long int is slow to read), on the width of the
+    largest field, n sum_f (t_f - 1)^2 L / t_f.  Foreign x: ValueError(refusal)."""
+    weights = spec.character_weights
+    tests = [fields for fields, _ in flat_rows(forms, n)]
+    exps = [list(map(mul, a.flat, cycle(weights))) for a in rows]
+    width = (n * sum((t - 1) ** 2 * w for t, w in zip(spec.factors, weights))).bit_length()
+    fields = [(width * e, hf.modulus) for e, hf in enumerate(hf for hf in forms for _ in hf.rows)]
+    packs, head = [], tests
+    for i in range(0, len(exps), 64):
+        packed = head + exps[i:i + 64]
+        packs.append((_pack(packed, width), range(width * len(head), width * len(packed), width)))
+        head = []
+    return spec, spec.char_order, scale, tuple(rows), packs, fields, (1 << width) - 1, refusal
+
+
 def syndrome_filter(
     pcs: ParityCheckSystem, syndromes: Iterable[RingVec]
 ) -> Callable[[RingVec], bool]:
@@ -412,9 +414,8 @@ def kernel(pcs: ParityCheckSystem) -> Submodule:
     _kernel_syndromes lists them from the column differences.
     """
     spec = pcs.spec
-    s_span = Submodule.from_generators(spec, pcs.s, pcs.s_rows)
-    if s_span.cardinality == pcs.s:
-        syndromes = left_kernel(spec, s_span.forms).annihilator().canonical_generators()
+    if pcs.s_span.cardinality == pcs.s:
+        syndromes = left_kernel(spec, pcs.s_span.forms).annihilator().canonical_generators()
     else:
         syndromes = _kernel_syndromes(pcs)
     pullbacks = [pcs.preimage(sigma) for sigma in syndromes]
@@ -457,6 +458,6 @@ def is_linear(pcs: ParityCheckSystem) -> bool:
     exactly when |M| = s.  The syzygies of S's rows are the annihilator of
     M and the kernel of r -> r S, so |M| = |R|^m / |syzygies| (Wood 1999)
     is the size of the row span of S: one Howell form of S per factor
-    decides it, without the s^2 column pairs.
+    decides it, without the s^2 column pairs; kernel reads the same form.
     """
-    return Submodule.from_generators(pcs.spec, pcs.s, pcs.s_rows).cardinality == pcs.s
+    return pcs.s_span.cardinality == pcs.s

@@ -69,10 +69,7 @@ class Submodule:
         transposed canonical matrix, and dualizing a product module is
         dualizing each factor.
         """
-        return left_kernel(self.spec, [
-            howell_rows(_transpose(hf.rows, hf.ncols), len(hf.rows), hf.modulus)
-            for hf in self.forms
-        ])
+        return left_kernel(self.spec, transposed_forms(self.forms))
 
     def enumerate(self) -> Iterator[RingVec]:
         """All elements exactly once: odometer over factors, last factor fastest."""
@@ -106,6 +103,13 @@ def left_kernel(spec: RingSpec, forms: Sequence[HowellForm]) -> Submodule:
     """
     m = forms[0].source_rows
     return Submodule(spec, m, [howell_rows(hf.kernel_rows, m, hf.modulus) for hf in forms])
+
+
+def transposed_forms(forms: Sequence[HowellForm]) -> list[HowellForm]:
+    """Per form, the Howell form of G^T for G its r Howell rows: its kernel
+    rows span {y : G y^T = 0}, and solve(b) gives one y with G y^T = b^T."""
+    return [howell_rows(_transpose(hf.rows, hf.ncols), len(hf.rows), hf.modulus)
+            for hf in forms]
 
 
 def syzygies(spec: RingSpec, rows: Sequence[RingVec]) -> Submodule:

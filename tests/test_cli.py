@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ringcodes import ParityCheckSystem, Submodule
+from ringcodes import Submodule, fourier
 from ringcodes.cli import _vec_json, main
 
 PCS_TEXT = "Z6\npcs\n1 1 3 5 | 0 1 5\n0 4 2 2 | 0 2 4\n"
@@ -274,17 +274,18 @@ def test_fourier_all(files, capsys):
 
 
 def test_fourier_all_divides_each_point_once(files, capsys, monkeypatch):
-    divided = []
-    quotients = ParityCheckSystem._quotients
+    # one span test per point: one read of the system's packed character plan
+    tested = []
+    coefficient = fourier._coefficient
 
-    def counting(self, x):
-        divided.append(_vec_json(x))
-        return quotients(self, x)
+    def counting(plan, x):
+        tested.append(_vec_json(x))
+        return coefficient(plan, x)
 
-    monkeypatch.setattr(ParityCheckSystem, "_quotients", counting)
+    monkeypatch.setattr(fourier, "_coefficient", counting)
     code, payload, _ = run_json(capsys, "fourier", files["pcs"], "--all", "--json")
     assert code == 0 and len(payload["values"]) == 18
-    assert divided == [entry["x"] for entry in payload["values"]]
+    assert tested == [entry["x"] for entry in payload["values"]]
 
 
 def test_fourier_needs_a_point_or_all(files, capsys):

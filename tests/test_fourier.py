@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -32,7 +33,7 @@ from ringcodes import (
     weight,
     zero_vec,
 )
-from ringcodes.howell import HowellForm
+from ringcodes.howell import HowellForm, _flat_steps, _reduce, flat_rows
 from conftest import (
     OUTSIDE_RINGS,
     PROPERTY_RINGS,
@@ -459,6 +460,14 @@ def _per_factor_quotients(pcs, x):
     return qs
 
 
+def _flat_quotients(pcs, x):
+    """The quotients of one _reduce of x.flat by the _flat_steps of all factors,
+    the flat division CodePresentation uses, or None when a remainder is left."""
+    v = [*x.flat]
+    qs = _reduce(_flat_steps(pcs.row_module.forms), v)
+    return None if any(a % t for a, t in zip(v, pcs.spec.factors * pcs.n)) else qs
+
+
 def test_flat_division_plan_matches_per_factor_divide():
     rng = random.Random(1616)
     systems = [random_instance(rng, rings=[ring], space_cap=800)[0]
@@ -472,7 +481,7 @@ def test_flat_division_plan_matches_per_factor_divide():
         points += [_row_combination(rng, pcs) for _ in range(10)]
         for x in points:
             want = _per_factor_quotients(pcs, x)
-            qs = pcs._quotients(x)
+            qs = _flat_quotients(pcs, x)
             assert qs == want
             assert qs is None or all(type(q) is int for q in qs)
             inside += want is not None
@@ -502,6 +511,45 @@ def test_s_row_and_system_route_match_full_width_division():
             inside += want is not None
             outside += want is None
     assert inside and outside
+
+
+def test_system_plan_tests_d_and_solves_each_column():
+    # the plan's test rows are D's canonical Howell rows, read off the form of
+    # G^T for G the Howell rows of H, and each exponent row a_j has H a_j^T = S_j
+    rng = random.Random(2718)
+    systems = [random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)[0]
+               for _ in range(30)]
+    systems += [_large_system(ring, seed) for ring in ["Z2147483629", "Z65521xZ65519"]
+                for seed in (1, 2)]
+    systems += [validate_pcs([zero_vec(spec, 3)], [zero_vec(spec, 1)])
+                for spec in map(parse_ring, ["Z6", "Z3xZ4", "Z2147483629"])]
+    for pcs in systems:
+        spec, L, scale_, rows, packs, fields, mask, _ = pcs._character_plan
+        assert (spec, L, scale_) == (pcs.spec, pcs.spec.char_order, pcs.kernel_cardinality)
+        width = mask.bit_length()
+        tests = [[p >> b & mask for p in packs[0][0]] for b, _ in fields]
+        assert tests == [f for f, _ in flat_rows(pcs.kernel_module.forms, pcs.n)]
+        assert [t for _, t in fields] == [hf.modulus for hf in pcs.kernel_module.forms
+                                           for _ in hf.rows]
+        assert [b for b, _ in fields] == list(range(0, width * len(fields), width))
+        assert len(rows) == pcs.s
+        for a, col in zip(rows, pcs.s_cols):
+            assert pcs.syndrome(a) == col
+
+
+def test_system_plan_on_a_long_syndrome_matrix():
+    # the Z101 system with s = 2000 columns (a // 101, a % 101): the plan,
+    # built by the first coefficient, and that coefficient stay well in time
+    spec = parse_ring("Z101")
+    h = [rv(spec, (1, 0, 1, 1)), rv(spec, (0, 1, 1, 2))]
+    cols = [(a // 101, a % 101) for a in range(1, 2001)]
+    pcs = validate_pcs(h, [RingVec.of(spec, [c[i] for c in cols]) for i in range(2)])
+    x = vec_add(h[0], scale(spec.elem([3]), h[1]))
+    start = time.perf_counter()
+    es = fourier_coeff_pcs(pcs, x)
+    assert time.perf_counter() - start < 0.5
+    assert sum(c for _, c in es.terms) == 2000 * pcs.kernel_cardinality
+    assert es == _divided_coeff(pcs, x)
 
 
 def test_system_route_never_divides_or_reads_the_coset_side(z6_pcs, monkeypatch):

@@ -34,6 +34,7 @@ from ringcodes import (
     validate_pcs,
     vec_add,
     vec_sub,
+    weight_enumerator_linear,
     zero_vec,
 )
 from conftest import (
@@ -214,11 +215,12 @@ def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
     h = [rv(spec, [(1, 2), (2, 0), (0, 3)]), rv(spec, [(2, 1), (1, 2), (0, 1)])]
     # Howell forms per factor of one call on a freshly validated system:
     # hs_forms is read off the form of H, kernel_module off that of H^T,
-    # and kernel adds the forms of S and of the kernel (both codes are
-    # nonlinear)
+    # the first coefficient's plan adds the forms of G^T (G the Howell rows
+    # of H) and of D, and kernel adds the forms of S and of the kernel (both
+    # codes are nonlinear)
     per_factor = [
         (pcs_to_code, 2),
-        (lambda pcs: fourier_coeff_pcs(pcs, pcs.h_rows[0]), 0),
+        (lambda pcs: fourier_coeff_pcs(pcs, pcs.h_rows[0]), 2),
         (pcs_enumerator_poly, 0),
         (kernel, 3),
     ]
@@ -240,6 +242,25 @@ def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
     calls.clear()
     assert min_distance_witness(one_column)[0] == 2
     assert calls == []
+
+
+def test_is_linear_and_kernel_share_one_form_of_s(monkeypatch):
+    # weight_enumerator_linear asks is_linear and then kernel; both read the
+    # system's one Howell form of S's rows
+    pcs = random_linear_instance(random.Random(5), ["Z4"])
+    assert (pcs.m, pcs.s) == (1, 2)
+    calls = []
+    howell_rows = submodules.howell_rows
+
+    def counting(rows, ncols, t):
+        calls.append(tuple(map(tuple, rows)))
+        return howell_rows(rows, ncols, t)
+
+    for module in (submodules, pcsmod):
+        monkeypatch.setattr(module, "howell_rows", counting)
+    weight_enumerator_linear(pcs)
+    assert calls.count(tuple(r.component(0) for r in pcs.s_rows)) == 1
+    assert calls.count(((0, 2),)) == 1
 
 
 def test_syndrome_and_member_golden(z6_pcs):
