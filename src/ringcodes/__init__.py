@@ -18,13 +18,13 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "rings": "BudgetExceeded DEFAULT_BUDGET RingElem RingSpec RingVec dot enumerate_vectors"
     " from_components hamming parse_ring scale support vec_add vec_neg vec_sub weight zero_vec",
-    "submodules": "Submodule solve_left solve_right syzygies",
+    "submodules": "Submodule solve_right syzygies",
     "pcs": "CodePresentation ConditionIIIViolation ConditionIIViolation ConditionIViolation"
     " InternalInconsistency ParityCheckSystem PCSValidationError code_to_pcs is_linear kernel"
     " member pcs_to_code validate_pcs",
     "distance": "BeyondRadius DecodeResult DegenerateCode decode min_distance"
     " min_distance_witness sdiff weight_shell",
-    "fourier": "ExponentSum GeneratingCharacter character_exponent fourier_coeff_coset"
+    "fourier": "ExponentSum GeneratingCharacter fourier_coeff_coset"
     " fourier_coeff_pcs generating_character poisson_sum",
     "enumerator": "EnumeratorPoly NonIntegerCoefficient distance_distribution"
     " macwilliams_transform pcs_enumerator_poly weight_enumerator_linear",

@@ -181,11 +181,6 @@ def generating_character(spec: RingSpec) -> GeneratingCharacter:
     return GeneratingCharacter(spec)
 
 
-def character_exponent(x: RingVec, y: RingVec) -> int:
-    """Exponent of chi_x(y) = eps(x . y) relative to zeta_{lcm of factors}."""
-    return generating_character(x.spec).exponent(dot(x, y))
-
-
 def _coefficient(plan: tuple, x: RingVec) -> ExponentSum:
     """scale * sum_a zeta^(-eps(x . a)) over the rows a of a pcs._plan, or zero
     at the first Howell row g with x . g != 0 mod t_f: one multiply-accumulate

@@ -300,6 +300,8 @@ def howell_rows(rows: Sequence[Sequence[int]], ncols: int, t: int) -> HowellForm
     pivot_cols = []
     r = 0
     for col in range(ncols):
+        if r == len(WT):  # no row left to pivot on
+            break
         # find a row with a nonzero entry in this column, at or below r
         j = next((i for i in range(r, len(WT)) if WT[i][col]), None)
         if j is None:

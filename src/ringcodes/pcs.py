@@ -6,7 +6,8 @@ matrix S subject to three conditions:
   (i)   every entry s_ij lies in the image ideal {h_i . x : x in R^n},
   (ii)  the columns of S are pairwise distinct,
   (iii) every dependency among the rows of H carries over to the rows of S,
-        i.e. r H = 0 implies r S = 0.
+        i.e. r H = 0 implies r S = 0; since the Howell form is canonical,
+        this holds exactly when the Howell form of [H | S] has no pivot in S.
 
 The code of a system is {x in R^n : H x^T is a column of S}; it is a union
 of s cosets of D = {x : H x^T = 0} and need not be linear.  Conversely a
@@ -82,8 +83,8 @@ class ParityCheckSystem:
     """A valid (H|S) pair with cached module data and syndrome lookup.
 
     Construction checks conditions (i) to (iii) and raises a Condition*Violation
-    with 1-based witness data.  (iii) is checked on generators of the row
-    dependencies only, which is enough since both sides are linear in r.
+    with 1-based witness data.  One Howell form of [H | S] per ring factor
+    decides (iii) and gives hs_forms and row_module.
     """
 
     def __init__(self, h_rows: Sequence[RingVec], s_rows: Sequence[RingVec]):
@@ -123,19 +124,30 @@ class ParityCheckSystem:
             first = self._col_index.setdefault(col.flat, j)
             if first != j:
                 raise ConditionIIViolation(first, j)
-        # (iii): generators r of the syzygy module must give r S = 0, i.e.
-        # r . S_j = 0 for every column S_j
-        for r in left_kernel(spec, self.row_module.forms).canonical_generators():
-            if any(not dot(r, col).is_zero() for col in self.s_cols):
-                raise ConditionIIIViolation(r)
+        # (iii): once the Howell loop on [H | S] is past H's columns, the rows
+        # below its pivots are (0 | r S) for r spanning H's syzygies, so (iii)
+        # holds exactly when no pivot falls in S
+        n, pairs = self.n, tuple(zip(self.h_rows, self.s_rows))
+        forms = [howell_rows([h.component(f) + s.component(f) for h, s in pairs], n + self.s, t)
+                 for f, t in enumerate(spec.factors)]
+        if any(c >= n for hf in forms for c in hf.pivot_cols):
+            # the transforms of the rows pivoting in S and the kernel rows span
+            # H's syzygies; their Howell forms are the syzygy module's own
+            syz = Submodule(spec, self.m, [howell_rows(
+                hf.transform_rows[sum(c < n for c in hf.pivot_cols):] + hf.kernel_rows,
+                self.m, hf.modulus) for hf in forms])
+            raise ConditionIIIViolation(next(
+                r for r in syz.canonical_generators()
+                if any(not dot(r, col).is_zero() for col in self.s_cols)))
+        # the H part of the form of [H | S] is the form of H, transform and
+        # kernel rows too: no operation touches a column without a pivot
+        self.hs_forms = tuple(forms)
+        self.row_module = Submodule(spec, n, [  # the row span of H
+            HowellForm(hf.modulus, n, self.m, tuple(r[:n] for r in hf.rows), hf.pivot_cols,
+                       hf.transform_rows, hf.kernel_rows) for hf in forms])
         self._syndrome_space: Optional[SyndromeSpace] = None
         # (distance, witness), filled by distance.min_distance_witness
         self._distance: Optional[tuple[int, RingVec]] = None
-
-    @cached_property
-    def row_module(self) -> Submodule:
-        """The submodule of R^n generated by the rows of H."""
-        return Submodule.from_generators(self.spec, self.n, self.h_rows)
 
     @cached_property
     def s_span(self) -> Submodule:
@@ -189,6 +201,8 @@ class ParityCheckSystem:
 
     def preimage(self, sigma: RingVec) -> Optional[RingVec]:
         """One x with H x^T = sigma, free directions zeroed, or None."""
+        if sigma.spec != self.spec or len(sigma) != self.m:
+            raise ValueError("syndrome does not match the system's check rows")
         return solve_forms(self.spec, self.ht_forms, sigma)
 
     @cached_property
@@ -200,28 +214,6 @@ class ParityCheckSystem:
         Fourier coefficient.
         """
         return self.spec.cardinality**self.n // self.row_module.cardinality
-
-    @cached_property
-    def hs_forms(self) -> tuple[HowellForm, ...]:
-        """One Howell form of [H | S] per ring factor, read off row_module.forms.
-
-        By condition (iii) the span of [H | S] lists exactly the pairs
-        (h, S_h), S_h = r S for any r with r H = h, so extending each Howell
-        row T_i H of H by T_i S gives the unique Howell form of [H | S], with
-        H's pivots, transform and kernel rows.  Its H part is row_module.forms
-        row for row; _character_plan reads its S part.
-        """
-        forms = []
-        s_parts = zip(*(row.components() for row in self.s_rows))
-        for hf, s_part in zip(self.row_module.forms, s_parts):
-            t, s_cols = hf.modulus, tuple(zip(*s_part))
-            rows = tuple(
-                h + tuple([sum(map(mul, tr, col)) % t for col in s_cols])
-                for h, tr in zip(hf.rows, hf.transform_rows)
-            )
-            forms.append(HowellForm(t, self.n + self.s, hf.source_rows, rows,
-                                    hf.pivot_cols, hf.transform_rows, hf.kernel_rows))
-        return tuple(forms)
 
     @cached_property
     def _character_plan(self) -> tuple:

@@ -154,11 +154,3 @@ def solve_right(rows: Sequence[RingVec], b: RingVec) -> Optional[RingVec]:
     if any(r.spec != b.spec or len(r) != len(rows[0]) for r in rows):
         raise ValueError("rows and right-hand side must share one ring, the rows one length")
     return solve_forms(b.spec, transpose_forms(rows), b)
-
-
-def solve_left(rows: Sequence[RingVec], x: RingVec) -> Optional[RingVec]:
-    """Coefficients r in R^m with sum_i r_i rows_i = x, or None."""
-    if not rows:
-        raise ValueError("need at least one row")
-    # from_generators refuses a row outside the ambient space of x
-    return solve_forms(x.spec, Submodule.from_generators(x.spec, len(x), rows).forms, x)

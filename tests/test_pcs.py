@@ -1,6 +1,7 @@
 """System validation, code conversion, membership, kernels, linearity."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -122,11 +123,19 @@ def _row_combination_witness(h_rows, s_rows):
 
 def test_condition_iii_witness_matches_the_row_combinations():
     # plant a row h = sum c_i h_i of H with S entries h . (d_j + e_j) for the
-    # representatives d_j: (i) and (ii) hold, (iii) fails when some h . e_j != 0
+    # representatives d_j: (i) and (ii) hold, (iii) fails when some h . e_j != 0;
+    # on 40 small systems, then 6 each over a large prime, a product of two
+    # large primes and a product of prime powers
     rng = random.Random(1357)
-    raised = 0
-    for _ in range(40):
-        pcs, _ = random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)
+    large = [parse_ring(r) for r in ["Z2147483629", "Z65521xZ65519", "Z27xZ4"] for _ in range(6)]
+    raised = Counter()
+    for trial in range(40 + len(large)):
+        if trial < 40:
+            pcs, _ = random_instance(rng, rings=PROPERTY_RINGS + OUTSIDE_RINGS, space_cap=800)
+        else:
+            spec, n = large[trial - 40], rng.randint(1, 4)
+            h = [random_vec(rng, spec, n) for _ in range(rng.randint(1, 3))]
+            pcs = _system_from_reps(h, [random_vec(rng, spec, n) for _ in range(3)])
         spec = pcs.spec
         h = zero_vec(spec, pcs.n)
         for row in pcs.h_rows:
@@ -143,9 +152,10 @@ def test_condition_iii_witness_matches_the_row_combinations():
             got = None
         except ConditionIIIViolation as exc:
             got = exc.witness
-            raised += 1
+            raised[str(spec) if trial >= 40 else "small"] += 1
         assert got == _row_combination_witness(h_rows, s_rows)
-    assert raised >= 10
+    assert raised["small"] >= 10
+    assert all(raised[str(spec)] >= 3 for spec in large)
 
 
 def test_validate_requires_consistent_shapes():
@@ -199,6 +209,8 @@ def test_h_part_of_the_forms_of_h_and_s_is_the_form_of_h():
         ]
         assert [hf.pivot_cols for hf in hs] == [hf.pivot_cols for hf in pcs.row_module.forms]
         assert pcs.hs_forms == hs
+        # the H part is the form of H in full, transform and kernel rows too
+        assert pcs.row_module.forms == Submodule.from_generators(pcs.spec, pcs.n, pcs.h_rows).forms
 
 
 def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
@@ -213,8 +225,9 @@ def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
         monkeypatch.setattr(module, "howell_rows", counting)
     spec = parse_ring("Z3xZ4")
     h = [rv(spec, [(1, 2), (2, 0), (0, 3)]), rv(spec, [(2, 1), (1, 2), (0, 1)])]
-    # Howell forms per factor of one call on a freshly validated system:
-    # hs_forms is read off the form of H, kernel_module off that of H^T,
+    # validation builds one Howell form per factor, that of [H | S], and
+    # row_module is its H part; Howell forms per factor of one call on a
+    # freshly validated system: kernel_module is read off that of H^T,
     # the first coefficient's plan adds the forms of G^T (G the Howell rows
     # of H) and of D, and kernel adds the forms of S and of the kernel (both
     # codes are nonlinear)
@@ -228,10 +241,11 @@ def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
                 _system_from_reps(h, [rv(spec, [(1, 1), (0, 0), (2, 3)]), zero_vec(spec, 3)])):
         calls.clear()
         validate_pcs(pcs.h_rows, pcs.s_rows).kernel_cardinality
-        for f, t in enumerate(pcs.spec.factors):
-            form_of_h = (tuple(row.component(f) for row in pcs.h_rows), pcs.n, t)
-            assert calls.count(form_of_h) == 1
-        assert len(calls) == 2 * pcs.spec.nfactors
+        assert calls == [
+            (tuple(h.component(f) + s.component(f) for h, s in zip(pcs.h_rows, pcs.s_rows)),
+             pcs.n + pcs.s, t)
+            for f, t in enumerate(pcs.spec.factors)
+        ]
         for op, forms in per_factor:
             fresh = validate_pcs(pcs.h_rows, pcs.s_rows)
             calls.clear()
@@ -307,6 +321,16 @@ def test_foreign_vectors_are_refused_with_one_message(z6_pcs, query, x):
     with pytest.raises(ValueError) as exc:
         query(z6_pcs, x)
     assert str(exc.value) == "vector does not match the system's ambient space"
+
+
+@pytest.mark.parametrize("sigma", [
+    RingVec.of(parse_ring("Z7"), [5, 6]), RingVec.of(parse_ring("Z2xZ3"), [(1, 0), (0, 2)]),
+    zero_vec(Z6, 1), zero_vec(Z6, 3),
+])
+def test_preimage_refuses_a_syndrome_of_another_ring_or_length(z6_pcs, sigma):
+    with pytest.raises(ValueError) as exc:
+        z6_pcs.preimage(sigma)
+    assert str(exc.value) == "syndrome does not match the system's check rows"
 
 
 def test_columns_are_pulled_back_through_one_cached_form(monkeypatch):

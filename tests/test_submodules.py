@@ -15,7 +15,6 @@ from ringcodes import (
     oracle_annihilator,
     parse_ring,
     scale,
-    solve_left,
     solve_right,
     syzygies,
     vec_add,
@@ -23,6 +22,7 @@ from ringcodes import (
 )
 from ringcodes import howell
 from ringcodes.howell import solve_rowspan
+from ringcodes.submodules import solve_forms
 from conftest import Z6, Z6_D_GENS, Z6_H, random_vec, rv
 
 
@@ -252,7 +252,7 @@ def test_solve_right_and_left_random():
         cs = [random_vec(rng, spec, 1)[0] for _ in range(m)]
         for c, row in zip(cs, rows):
             target = vec_add(target, scale(c, row))
-        r = solve_left(rows, target)
+        r = solve_forms(spec, Submodule.from_generators(spec, n, rows).forms, target)
         assert r is not None
         rebuilt = zero_vec(spec, n)
         for i, row in enumerate(rows):
@@ -275,7 +275,7 @@ def test_solve_exact_over_a_large_modulus():
         target = RingVec.of(
             spec, [sum(c * r.coords[j][0] for c, r in zip(coeffs, rows)) for j in range(10)]
         )
-        r = solve_left(rows, target)
+        r = solve_forms(spec, Submodule.from_generators(spec, 10, rows).forms, target)
         assert r is not None
         combo = [sum(r.coords[i][0] * rows[i].coords[j][0] for i in range(6)) % t
                  for j in range(10)]
@@ -296,30 +296,23 @@ def test_solve_exact_over_a_large_modulus():
 def test_solve_left_rejects_outside_targets():
     spec = parse_ring("Z4")
     rows = [rv(spec, (2, 0)), rv(spec, (0, 2))]
-    assert solve_left(rows, rv(spec, (1, 0))) is None
-    assert solve_left(rows, rv(spec, (2, 2))) is not None
+    forms = Submodule.from_generators(spec, 2, rows).forms
+    assert solve_forms(spec, forms, rv(spec, (1, 0))) is None
+    assert solve_forms(spec, forms, rv(spec, (2, 2))) is not None
 
 
 def test_solve_argument_errors():
     with pytest.raises(ValueError):
         solve_right([], zero_vec(Z6, 2))
-    with pytest.raises(ValueError):
-        solve_left([], zero_vec(Z6, 2))
     rows = [rv(Z6, h) for h in Z6_H]
     with pytest.raises(ValueError):
         solve_right(rows, zero_vec(Z6, 3))
-    with pytest.raises(ValueError):
-        solve_left(rows, zero_vec(Z6, 3))
     # a target or a row from another ring, even of the right length
     z7 = parse_ring("Z7")
     with pytest.raises(ValueError):
         solve_right(rows, rv(parse_ring("Z2xZ3"), [(1, 0), (0, 1)]))
     with pytest.raises(ValueError):
-        solve_left([rv(Z6, (1, 0)), rv(Z6, (0, 1))], rv(z7, (1, 5)))
-    with pytest.raises(ValueError):
         solve_right([rv(Z6, (1, 0)), rv(z7, (0, 1))], rv(Z6, (1, 5)))
-    with pytest.raises(ValueError):
-        solve_left([rv(Z6, (1, 0)), rv(z7, (0, 1))], rv(Z6, (1, 5)))
 
 
 def test_from_generators_rejects_mismatches():
@@ -347,7 +340,7 @@ def test_product_ring_membership_and_solves_in_plain_integers():
             for j in range(n)
         ))
         assert module.contains(inside)
-        r = solve_left(rows, inside)
+        r = solve_forms(spec, module.forms, inside)
         assert r is not None
         assert all(
             sum(r.coords[i][f] * rows[i].coords[j][f] for i in range(m)) % t
