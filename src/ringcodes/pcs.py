@@ -117,11 +117,10 @@ class ParityCheckSystem:
             RingVec._of(spec, tuple([a for r in self.s_rows for a in r.flat[j:j + k]]))
             for j in range(0, k * self.s, k)
         )
-        # (ii): distinct columns; flat syndrome key -> 1-based column index,
-        # the whole of member()
-        self._col_index = {}
+        # (ii): distinct columns, the first index of each flat column
+        first_of: dict[tuple[int, ...], int] = {}
         for j, col in enumerate(self.s_cols, 1):
-            first = self._col_index.setdefault(col.flat, j)
+            first = first_of.setdefault(col.flat, j)
             if first != j:
                 raise ConditionIIViolation(first, j)
         # (iii): once the Howell loop on [H | S] is past H's columns, the rows
@@ -159,40 +158,88 @@ class ParityCheckSystem:
         """D = {x : H x^T = 0}, the common kernel of the checks, from ht_forms."""
         return left_kernel(self.spec, self.ht_forms)
 
-    def syndrome_space(self) -> Optional[SyndromeSpace]:
-        """The cached reachability tables, or None when they exceed DEFAULT_BUDGET."""
+    @cached_property
+    def _space_cost(self) -> int:
+        """The larger of SyndromeSpace.cost's bytes and word operations."""
         from .reach import SyndromeSpace
 
-        if max(SyndromeSpace.cost(self.spec, self.m, self.n)) > rings.DEFAULT_BUDGET:
+        return max(SyndromeSpace.cost(self.spec, self.m, self.n))
+
+    def syndrome_space(self) -> Optional[SyndromeSpace]:
+        """The cached reachability tables, or None when they exceed DEFAULT_BUDGET."""
+        if self._space_cost > rings.DEFAULT_BUDGET:
             return None
         if self._syndrome_space is None:
+            from .reach import SyndromeSpace
+
             self._syndrome_space = SyndromeSpace(self.spec, self.h_rows)
         return self._syndrome_space
 
     @cached_property
-    def _syndrome_plan(self) -> tuple[list[int], list[tuple[int, int]], int]:
-        """H packed by _pack, the (offset, t) of each syndrome entry, the mask.
+    def _syndrome_plan(self) -> tuple:
+        """(P, M, S, Q, L, index, T, fields, mask): H x^T as one reduced packed int.
 
-        Entry i*k + f of H x^T, the RingVec.flat order, is the dot product of
-        x with row i's factor-f residues, the other factors' positions zero.
+        Entry e = i*k + f of H x^T, the RingVec.flat order, is the dot product
+        of x with row i's factor-f residues, the other factors' positions
+        zero.  _pack packs those rows scaled by w_f = L / t_f, L = lcm(t_f),
+        on fields of F bits, so acc = sum(map(mul, x.flat, P)) holds
+        v_e = w_f (h_i . x) in field e, and one multiply and one shift reduce
+        every field at once (Barrett 1986; Granlund and Montgomery 1994):
+
+            key = acc - ((acc * M >> S) & Q) * L,   M = ceil(2**S / L),
+
+        Q the low W bits of every field, holds v_e mod L = w_f (h_i . x mod t_f)
+        in field e.
+
+        Why it is exact.  Residues are reduced and non-negative, so
+        0 <= v_e < 2**W for W the bit length of n max_f (t_f - 1)^2 w_f.
+        Write M L = 2**S + c, 0 <= c < L: then v M / 2**S = v / L + v c / (L 2**S),
+        and the second term is below 2**(W - S) <= 2**-bitlen(L) < 1 / L when
+        S >= W + bitlen(L).  The fraction of v / L is at most 1 - 1/L, so
+        floor(v M / 2**S) = floor(v / L).  As L >= 2, M <= 2**S / L + 1 <= 2**S,
+        so every v_e M is below 2**(W + S): with F = W + S no product carries
+        into the next field, and after the shift field e's low W bits, which Q
+        keeps, hold its quotient floor(v_e / L) < 2**W, while the low S bits
+        of field e + 1 land above them, where Q drops them.  Each quotient
+        times L is at most v_e, so the subtraction borrows across no field.
+
+        T[e] = w_e << F*e keys a syndrome sigma as sum(map(mul, sigma.flat, T)),
+        the same int; index maps the key of column j of S to j, 1-based;
+        fields holds (F*e, w_e), and field e of a key is key >> F*e & mask.
         """
-        k, factors = self.spec.nfactors, self.spec.factors
-        rows = [[a if g == f else 0 for a in h.component(f) for g in range(k)]
-                for h in self.h_rows for f in range(k)]
-        width = (self.n * (max(factors) - 1) ** 2).bit_length()
-        fields = [(width * e, t) for e, t in enumerate(factors * self.m)]
-        return _pack(rows, width), fields, (1 << width) - 1
+        spec, k = self.spec, self.spec.nfactors
+        lcm, weights = spec.char_order, spec.character_weights
+        rows = [[w * a if g == f else 0 for a in h.component(f) for g in range(k)]
+                for h in self.h_rows for f, w in enumerate(weights)]
+        top = (self.n * max((t - 1) ** 2 * w for t, w in zip(spec.factors, weights))).bit_length()
+        shift = top + lcm.bit_length()
+        width = top + shift
+        fields = [(width * e, w) for e, w in enumerate(weights * self.m)]
+        targets = [w << b for b, w in fields]
+        index = {sum(map(mul, col.flat, targets)): j for j, col in enumerate(self.s_cols, 1)}
+        quotients = sum(((1 << top) - 1) << b for b, _ in fields)
+        return (_pack(rows, width), -(-(1 << shift) // lcm), shift, quotients, lcm,
+                index, targets, fields, (1 << width) - 1)
 
-    def _flat_syndrome(self, x: RingVec) -> tuple[int, ...]:
-        """H x^T as plain ints in RingVec.flat order: entry i*k + f is row i, factor f."""
-        packed, fields, mask = self._syndrome_plan
+    def _key(self, x: RingVec) -> int:
+        """H x^T as one packed int, each entry e times w_e (see _syndrome_plan)."""
+        packed, magic, shift, quotients, lcm, _, _, _, _ = self._syndrome_plan
         if x.spec is not self.spec and x.spec != self.spec or len(x.flat) != len(packed):
             raise ValueError("vector does not match the system's ambient space")
         acc = sum(map(mul, x.flat, packed))
-        return tuple([(acc >> b & mask) % t for b, t in fields])
+        return acc - (acc * magic >> shift & quotients) * lcm
+
+    def _sigma_key(self, sigma: RingVec) -> int:
+        """The _key of every x with H x^T = sigma; ValueError outside R^m."""
+        if sigma.spec != self.spec or len(sigma) != self.m:
+            raise ValueError("syndrome does not match the system's check rows")
+        return sum(map(mul, sigma.flat, self._syndrome_plan[6]))
 
     def syndrome(self, x: RingVec) -> RingVec:
-        return RingVec._of(self.spec, self._flat_syndrome(x))
+        """H x^T, unpacked from _key field by field."""
+        key = self._key(x)
+        fields, mask = self._syndrome_plan[7:]
+        return RingVec._of(self.spec, tuple([(key >> b & mask) // w for b, w in fields]))
 
     @cached_property
     def ht_forms(self) -> tuple[HowellForm, ...]:
@@ -385,14 +432,17 @@ def _plan(spec: rings.RingSpec, n: int, forms: Sequence[HowellForm],
 def syndrome_filter(
     pcs: ParityCheckSystem, syndromes: Iterable[RingVec]
 ) -> Callable[[RingVec], bool]:
-    """A test of whether H y^T is one of syndromes, on flat keys."""
-    keys = {v.flat for v in syndromes}
-    return lambda y: pcs._flat_syndrome(y) in keys
+    """A test of whether H y^T is one of syndromes, on packed keys.
+
+    A syndrome of another ring or of length other than m raises ValueError.
+    """
+    keys = {pcs._sigma_key(v) for v in syndromes}
+    return lambda y: pcs._key(y) in keys
 
 
 def member(pcs: ParityCheckSystem, x: RingVec) -> Optional[int]:
     """1-based syndrome column index of x, or None when x is outside the code."""
-    return pcs._col_index.get(pcs._flat_syndrome(x))
+    return pcs._syndrome_plan[5].get(pcs._key(x))
 
 
 def kernel(pcs: ParityCheckSystem) -> Submodule:

@@ -142,9 +142,14 @@ def test_value_class_constructor_errors(build, message):
 
 
 def test_every_imported_name_is_used():
-    # no linter runs offline, so a name a change leaves imported shows here
-    for path in sorted(Path(ringcodes.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    # no linter runs offline, so a name a change leaves imported shows here,
+    # and so does a private function, method or attribute nothing under src/ reads
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(ringcodes.__file__).parent.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    for name, tree in trees.items():
         imported = {
             alias.asname or alias.name.partition(".")[0]
             for node in ast.walk(tree)
@@ -153,4 +158,13 @@ def test_every_imported_name_is_used():
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert sorted(imported - used) == [], path.name
+        assert sorted(imported - used) == [], name
+        bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        defined = {node.name for body in bodies for node in body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for body in bodies for node in body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        defined |= {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+        unread = {d for d in defined if d.startswith("_") and not d.endswith("__")} - read
+        assert sorted(unread) == [], name

@@ -629,12 +629,15 @@ def test_repr_smoke(z6_pcs):
     assert "216" in repr(pcs_to_code(z6_pcs))
 
 
-@pytest.mark.parametrize("ring", ["Z2147483629", "Z65521xZ65519", "Z2xZ2147483629"])
+@pytest.mark.parametrize(
+    "ring", ["Z2147483629", "Z65521xZ65519", "Z2xZ2147483629", "Z1009xZ997", "Z27xZ4"])
 @pytest.mark.parametrize("n", [1, 64])
 @pytest.mark.parametrize("m", [1, 6])
 def test_syndromes_are_exact_at_the_packed_field_width(ring, n, m):
     """Every residue of H and x at t - 1 makes each syndrome entry before
-    reduction n (t - 1)^2, the largest a packed field must hold."""
+    reduction n (t - 1)^2, the largest a packed field must hold; then a
+    seeded random H, its codewords and off-code words are checked against
+    plain-int H x^T.  The product rings have L much larger than t_f."""
     spec = parse_ring(ring)
     top = tuple(t - 1 for t in spec.factors)
     x = rv(spec, [top] * n)
@@ -649,11 +652,36 @@ def test_syndromes_are_exact_at_the_packed_field_width(ring, n, m):
     assert pcsmod.syndrome_filter(system, [rv(spec, [sigma] * m)])(x)
     assert not pcsmod.syndrome_filter(system, [rv(spec, [(0,) * spec.nfactors] * m)])(x)
 
+    rng = random.Random(f"{ring} {n} {m}")
+    h_rows = [random_vec(rng, spec, n) for _ in range(m)]
+
+    def plain(x):
+        return tuple(tuple(sum(a * b for a, b in zip(h.component(f), x.component(f))) % t
+                           for f, t in enumerate(spec.factors)) for h in h_rows)
+
+    reps = [random_vec(rng, spec, n) for _ in range(4)]
+    cols = list(dict.fromkeys(map(plain, reps)))
+    system = ParityCheckSystem(h_rows, [rv(spec, [c[i] for c in cols]) for i in range(m)])
+    some = pcsmod.syndrome_filter(system, [rv(spec, c) for c in cols[::2]])
+    for x in reps + [random_vec(rng, spec, n) for _ in range(12)]:
+        sigma = plain(x)
+        assert system.syndrome(x).coords == sigma
+        assert member(system, x) == (cols.index(sigma) + 1 if sigma in cols else None)
+        assert some(x) == (sigma in cols[::2])
+
+
+@pytest.mark.parametrize("target", ["foreign ring", "length m - 1", "length m + 1"])
+def test_syndrome_filter_refuses_a_target_outside_the_syndrome_space(z6_pcs, target):
+    other = parse_ring("Z4") if target == "foreign ring" else z6_pcs.spec
+    length = {"length m - 1": z6_pcs.m - 1, "length m + 1": z6_pcs.m + 1}.get(target, z6_pcs.m)
+    with pytest.raises(ValueError, match="syndrome does not match the system's check rows"):
+        pcsmod.syndrome_filter(z6_pcs, [zero_vec(other, length)])
+
 
 @pytest.mark.parametrize("ring", ["Z2xZ3", "Z3xZ4", "Z2xZ4"])
 def test_syndromes_and_keys_share_the_flat_order(ring):
-    """H x^T entry i*k + f is row i, factor f, in _flat_syndrome, syndrome
-    and the column keys of member and syndrome_filter alike."""
+    """H x^T entry i*k + f is row i, factor f, in syndrome, in the packed
+    key of x and of its syndrome, and in member and syndrome_filter alike."""
     spec = parse_ring(ring)
     rng = random.Random(ring)
     for m in (2, 3):
@@ -669,6 +697,6 @@ def test_syndromes_and_keys_share_the_flat_order(ring):
         for x in enumerate_vectors(spec, 2):
             sigma = pcs.syndrome(x)
             assert sigma == RingVec.of(spec, [dot(h, x) for h in h_rows])
-            assert pcs._flat_syndrome(x) == sigma.flat
+            assert pcs._key(x) == pcs._sigma_key(sigma)
             assert member(pcs, x) == (cols.index(sigma) + 1 if sigma in cols else None)
             assert some(x) == (sigma in cols[::2])
