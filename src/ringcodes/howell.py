@@ -11,6 +11,9 @@ computations mechanical.
 
 The forms are computed and held as tuples of Python ints, exact for any
 modulus, and span_walk lists a span with each point packed into one int.
+One loop, _eliminate, computes every form: howell_rows runs it on [W | I]
+for the transform and kernel rows too (m * (ncols + m) entries for m rows,
+gated), span_form on W alone, all that a span question reads.
 
 Everything here works on a single modulus; product rings are handled one
 factor at a time by the callers.
@@ -91,11 +94,16 @@ class HowellForm(Value):
     pivot_cols      column index of each row's leading entry, strictly increasing
     transform_rows  k rows of length m with transform @ source = rows (mod t)
     kernel_rows     rows of length m generating {c in Z_t^m : c @ source = 0}
+
+    A form from span_form holds its m source rows in place of the last
+    two; the first read of either (==, hash and repr read them) runs
+    howell_rows on them, so only a reader pays for the transform.
     """
 
     __slots__ = ("modulus", "ncols", "source_rows", "rows", "pivot_cols",
-                 "transform_rows", "kernel_rows", "_steps")
-    __match_args__ = __slots__[:-1]  # _steps is derived from rows and pivot_cols
+                 "_transform", "_kernel", "_source", "_steps")
+    __match_args__ = ("modulus", "ncols", "source_rows", "rows", "pivot_cols",
+                      "transform_rows", "kernel_rows")
 
     def __init__(self, modulus: int, ncols: int, source_rows: int, rows: Rows,
                  pivot_cols: tuple[int, ...], transform_rows: Rows, kernel_rows: Rows):
@@ -104,9 +112,36 @@ class HowellForm(Value):
         self.source_rows = source_rows
         self.rows = rows
         self.pivot_cols = pivot_cols
-        self.transform_rows = transform_rows
-        self.kernel_rows = kernel_rows
+        self._transform = transform_rows
+        self._kernel = kernel_rows
+        self._source = None  # the source residues of a form not yet filled
         self._steps = None  # the division steps, built by the first divide
+
+    @property
+    def transform_rows(self) -> Rows:
+        if self._source is not None:
+            self._fill()
+        return self._transform
+
+    @property
+    def kernel_rows(self) -> Rows:
+        if self._source is not None:
+            self._fill()
+        return self._kernel
+
+    def _fill(self) -> None:
+        full = howell_rows(self._source, self.ncols, self.modulus)
+        self._transform, self._kernel, self._source = full._transform, full._kernel, None
+
+    def head(self, n: int) -> "HowellForm":
+        """The form of the source's first n columns when every pivot lies
+        before column n: the loop acts on no column without a pivot, so only
+        rows and source rows are cut."""
+        hf = HowellForm(self.modulus, n, self.source_rows, tuple(r[:n] for r in self.rows),
+                        self.pivot_cols, self._transform, self._kernel)
+        if self._source is not None:
+            hf._source = tuple(r[:n] for r in self._source)
+        return hf
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -286,48 +321,74 @@ def _combine(a: int, x: list[int], b: int, y: list[int], t: int) -> list[int]:
     return [(a * p + b * q) % t for p, q in zip(x, y)]
 
 
+def _eliminate(W: list[list[int]], ncols: int, t: int) -> list[int]:
+    """The Howell loop on the residue rows W, in place; returns the pivot columns.
+
+    Only the first ncols entries choose an operation, so entries past them
+    (the T block of howell_rows) just follow; each operation builds a new
+    row list.  Steps with a known result are skipped: stab_unit(p, t) is 1
+    when p divides t and p's inverse when p is a unit, and for an entry
+    b > p below the pivot with p | b, split_gcd gives (p, 1, 0, -b/p, 1):
+    the pivot row stays and b/p of it is subtracted.
+    """
+    pivot_cols = []
+    r = 0
+    for col in range(ncols):
+        if r == len(W):  # no row left to pivot on
+            break
+        # find a row with a nonzero entry in this column, at or below r
+        for j in range(r, len(W)):
+            if W[j][col]:
+                break
+        else:
+            continue
+        W[r], W[j] = W[j], W[r]
+        row = W[r]
+        # normalize the pivot to gcd(pivot, t), a divisor of t
+        p = row[col]
+        if t % p:
+            u = pow(p, -1, t) if math.gcd(p, t) == 1 else stab_unit(p, t)
+            row = [a * u % t for a in row]
+        # clear the column below with determinant-one combinations
+        for i in range(r + 1, len(W)):
+            b = W[i][col]
+            if b:
+                p = row[col]
+                if b > p and not b % p:
+                    q = b // p
+                    W[i] = [(x - q * y) % t for x, y in zip(W[i], row)]
+                else:
+                    g, s, tt, uu, vv = split_gcd(p, b, t)
+                    row, W[i] = _combine(s, row, tt, W[i], t), _combine(uu, row, vv, W[i], t)
+        W[r] = row
+        b = row[col]
+        # entries above the pivot are reduced to their residue mod the pivot
+        for i in range(r):
+            q = W[i][col] // b
+            if q:
+                W[i] = _combine(1, W[i], -q, row, t)
+        # a zero-divisor pivot hides span elements; append its annihilator row
+        a = annihilator_generator(b, t)
+        if a % t:
+            W.append([a * x % t for x in row])
+        pivot_cols.append(col)
+        r += 1
+    return pivot_cols
+
+
 def howell_rows(rows: Sequence[Sequence[int]], ncols: int, t: int) -> HowellForm:
     """howell_form of a list of integer rows of length ncols.
 
     The row operations run on [W | T], W the residues of the rows and T
     the identity, so that T records the transform; the rows whose W part
-    ends up zero are the kernel.
+    ends up zero are the kernel.  Its m * (ncols + m) entries are gated.
     """
     if t < 2:
         raise ValueError("modulus must be >= 2")
     m = len(rows)
+    check_budget(m * (ncols + m), "howell transform", "entries")
     WT = [[a % t for a in row] + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-    pivot_cols = []
-    r = 0
-    for col in range(ncols):
-        if r == len(WT):  # no row left to pivot on
-            break
-        # find a row with a nonzero entry in this column, at or below r
-        j = next((i for i in range(r, len(WT)) if WT[i][col]), None)
-        if j is None:
-            continue
-        WT[r], WT[j] = WT[j], WT[r]
-        # normalize the pivot to gcd(pivot, t), a divisor of t
-        u = stab_unit(WT[r][col], t)
-        if u != 1:
-            WT[r] = [a * u % t for a in WT[r]]
-        # clear the column below with determinant-one combinations
-        for i in range(r + 1, len(WT)):
-            if WT[i][col]:
-                g, s, tt, uu, vv = split_gcd(WT[r][col], WT[i][col], t)
-                WT[r], WT[i] = _combine(s, WT[r], tt, WT[i], t), _combine(uu, WT[r], vv, WT[i], t)
-        b = WT[r][col]
-        # entries above the pivot are reduced to their residue mod the pivot
-        for i in range(r):
-            q = WT[i][col] // b
-            if q:
-                WT[i] = _combine(1, WT[i], -q, WT[r], t)
-        # a zero-divisor pivot hides span elements; append its annihilator row
-        a = annihilator_generator(b, t)
-        if a % t:
-            WT.append([a * x % t for x in WT[r]])
-        pivot_cols.append(col)
-        r += 1
+    r = len(pivot_cols := _eliminate(WT, ncols, t))
     return HowellForm(
         modulus=t,
         ncols=ncols,
@@ -337,6 +398,19 @@ def howell_rows(rows: Sequence[Sequence[int]], ncols: int, t: int) -> HowellForm
         transform_rows=tuple(tuple(row[ncols:]) for row in WT[:r]),
         kernel_rows=tuple(tuple(row[ncols:]) for row in WT[r:]),
     )
+
+
+def span_form(rows: Sequence[Sequence[int]], ncols: int, t: int) -> HowellForm:
+    """howell_rows without the T block, linear in the number of rows: the
+    transform and kernel rows are built from the kept rows when first read."""
+    if t < 2:
+        raise ValueError("modulus must be >= 2")
+    W = [[a % t for a in row] for row in rows]
+    source = tuple(W)  # _eliminate replaces rows, it never changes one
+    r = len(pivot_cols := _eliminate(W, ncols, t))
+    hf = HowellForm(t, ncols, len(source), tuple(map(tuple, W[:r])), tuple(pivot_cols), None, None)
+    hf._source = source
+    return hf
 
 
 def howell_form(mat, t: int) -> HowellForm:

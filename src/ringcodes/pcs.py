@@ -24,7 +24,7 @@ from operator import mod, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from . import rings
-from .howell import HowellForm, _flat_steps, _reduce, flat_rows, howell_rows
+from .howell import HowellForm, _flat_steps, _reduce, flat_rows, span_form
 from .rings import (
     RingVec,
     check_budget,
@@ -127,12 +127,12 @@ class ParityCheckSystem:
         # below its pivots are (0 | r S) for r spanning H's syzygies, so (iii)
         # holds exactly when no pivot falls in S
         n, pairs = self.n, tuple(zip(self.h_rows, self.s_rows))
-        forms = [howell_rows([h.component(f) + s.component(f) for h, s in pairs], n + self.s, t)
+        forms = [span_form([h.component(f) + s.component(f) for h, s in pairs], n + self.s, t)
                  for f, t in enumerate(spec.factors)]
         if any(c >= n for hf in forms for c in hf.pivot_cols):
             # the transforms of the rows pivoting in S and the kernel rows span
             # H's syzygies; their Howell forms are the syzygy module's own
-            syz = Submodule(spec, self.m, [howell_rows(
+            syz = Submodule(spec, self.m, [span_form(
                 hf.transform_rows[sum(c < n for c in hf.pivot_cols):] + hf.kernel_rows,
                 self.m, hf.modulus) for hf in forms])
             raise ConditionIIIViolation(next(
@@ -141,9 +141,7 @@ class ParityCheckSystem:
         # the H part of the form of [H | S] is the form of H, transform and
         # kernel rows too: no operation touches a column without a pivot
         self.hs_forms = tuple(forms)
-        self.row_module = Submodule(spec, n, [  # the row span of H
-            HowellForm(hf.modulus, n, self.m, tuple(r[:n] for r in hf.rows), hf.pivot_cols,
-                       hf.transform_rows, hf.kernel_rows) for hf in forms])
+        self.row_module = Submodule(spec, n, [hf.head(n) for hf in forms])  # the row span of H
         self._syndrome_space: Optional[SyndromeSpace] = None
         # (distance, witness), filled by distance.min_distance_witness
         self._distance: Optional[tuple[int, RingVec]] = None
@@ -464,7 +462,7 @@ def kernel(pcs: ParityCheckSystem) -> Submodule:
     if None in pullbacks:
         raise InternalInconsistency("kernel syndrome has no preimage")
     parts = [
-        howell_rows([*ht.kernel_rows, *(x.component(f) for x in pullbacks)], pcs.n, ht.modulus)
+        span_form([*ht.kernel_rows, *(x.component(f) for x in pullbacks)], pcs.n, ht.modulus)
         for f, ht in enumerate(pcs.ht_forms)
     ]
     return Submodule(spec, pcs.n, parts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .howell import HowellForm, flat_rows, howell_rows, span_tuples
+from .howell import HowellForm, flat_rows, howell_rows, span_form, span_tuples
 from .rings import RingSpec, RingVec, check_budget, from_components
 
 
@@ -47,7 +47,7 @@ class Submodule:
             if len(g) != n:
                 raise ValueError("generator length does not match ambient space")
         forms = [
-            howell_rows(factor_matrix(spec, gens, f, n), n, t)
+            span_form(factor_matrix(spec, gens, f, n), n, t)
             for f, t in enumerate(spec.factors)
         ]
         return cls(spec, n, forms)
@@ -102,7 +102,7 @@ def left_kernel(spec: RingSpec, forms: Sequence[HowellForm]) -> Submodule:
     The forms are one per factor of spec, each of a matrix with m rows.
     """
     m = forms[0].source_rows
-    return Submodule(spec, m, [howell_rows(hf.kernel_rows, m, hf.modulus) for hf in forms])
+    return Submodule(spec, m, [span_form(hf.kernel_rows, m, hf.modulus) for hf in forms])
 
 
 def transposed_forms(forms: Sequence[HowellForm]) -> list[HowellForm]:

@@ -30,6 +30,7 @@ from ringcodes import (
     parse_ring,
     pcs_enumerator_poly,
     poisson_sum,
+    syzygies,
     validate_pcs,
     weight_shell,
     zero_vec,
@@ -66,9 +67,17 @@ def _z6_one_column():
     return validate_pcs([rv(Z6, r) for r in Z6_H], [rv(Z6, (0,)), rv(Z6, (0,))])
 
 
+# the Z6 system with its character plan built at the default budget: the
+# plan's Howell form of G^T (4 rows, 2 columns) holds 24 entries at the
+# "howell transform" gate, so on a fresh system with the budget at the 6
+# counts of one point that gate would bind first
+_Z6_PLANNED = build_z6_pcs()
+_Z6_PLANNED._character_plan
+
+
 def _fourier_point():
     args = argparse.Namespace(all=False, vector="3,3,3,3")
-    return COMMANDS["fourier"].fast(build_z6_pcs(), args)
+    return COMMANDS["fourier"].fast(_Z6_PLANNED, args)
 
 
 # stage -> (a call on a fresh small instance, what it needs, unit); a note
@@ -84,6 +93,9 @@ STAGES = {
     ),
     # one unit row over Z12
     "span enumeration": (lambda: list(howell_rows([[1, 0]], 2, 12).enumerate_span()), 12, "states"),
+    # [W | T] of the Z6 H's 2 rows of 4 entries, 2 * (4 + 2), built when
+    # left_kernel reads the kernel rows of the rows-only form
+    "howell transform": (lambda: syzygies(Z6, [rv(Z6, r) for r in Z6_H]), 12, "entries"),
     # the row span of the Z6 H; with s = 1 the pairs gate needs as many
     "row span walk": (lambda: pcs_enumerator_poly(_z6_one_column()), 18, "states"),
     # the 18 points of the Z6 row span times s^2 = 9 column pairs
@@ -132,6 +144,16 @@ def test_weight_shell_is_gated_before_listing_residues():
     with pytest.raises(BudgetExceeded) as exc:
         next(weight_shell(parse_ring("Z2xZ2147483629"), 1, 1))
     assert (exc.value.what, exc.value.needed) == ("weight shell", 2 * 2147483629 - 1)
+
+
+def test_syzygies_of_many_generators_are_gated_before_the_transform():
+    # [W | T] of 10201 generators in Z101^2 would hold 10201 * (2 + 10201)
+    # entries and take minutes; the rows-only form of the span comes first
+    z101 = parse_ring("Z101")
+    gens = [rv(z101, (a, b)) for a in range(101) for b in range(101)]
+    with pytest.raises(BudgetExceeded) as exc:
+        syzygies(z101, gens)
+    assert (exc.value.what, exc.value.needed) == ("howell transform", 10201 * 10203)
 
 
 def test_oracle_scalar_scans_are_gated_before_listing_the_ring(monkeypatch):

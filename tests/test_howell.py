@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from ringcodes.howell import (
     howell_form,
     howell_rows,
     solve_rowspan,
+    span_form,
     split_gcd,
     stab_unit,
 )
@@ -352,6 +354,97 @@ def test_flat_steps_divide_every_factor_at_once():
                 want[f][1][i] for i in range(n) for f in range(k)
             ]
     assert non_unit
+
+
+def reference_howell(rows, n, t, cases):
+    """The Howell loop with every step taken, on [W | I] in plain ints:
+    stab_unit on every pivot, split_gcd on every entry below it.  Returns
+    (rows, pivot_cols, transform_rows, kernel_rows); cases counts each entry
+    b cleared below a pivot p by kind, and the zero-divisor pivots."""
+    m = len(rows)
+    WT = [[a % t for a in row] + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    pivot_cols = []
+    for col in range(n):
+        r = len(pivot_cols)
+        j = next((i for i in range(r, len(WT)) if WT[i][col]), None)
+        if j is None:
+            continue
+        WT[r], WT[j] = WT[j], WT[r]
+        u = stab_unit(WT[r][col], t)
+        WT[r] = [a * u % t for a in WT[r]]
+        for i in range(r + 1, len(WT)):
+            p, b = WT[r][col], WT[i][col]
+            if b:
+                cases["b == p" if b == p else "p | b" if b % p == 0 else "p does not divide b"] += 1
+                _, s, tt, uu, vv = split_gcd(p, b, t)
+                WT[r], WT[i] = ([(s * x + tt * y) % t for x, y in zip(WT[r], WT[i])],
+                                [(uu * x + vv * y) % t for x, y in zip(WT[r], WT[i])])
+        p = WT[r][col]
+        for i in range(r):
+            q = WT[i][col] // p
+            WT[i] = [(x - q * y) % t for x, y in zip(WT[i], WT[r])]
+        if p != 1:
+            cases["zero-divisor pivot"] += 1
+            WT.append([t // p * x % t for x in WT[r]])
+        pivot_cols.append(col)
+    r = len(pivot_cols)
+    return (tuple(tuple(row[:n]) for row in WT[:r]), tuple(pivot_cols),
+            tuple(tuple(row[n:]) for row in WT[:r]), tuple(tuple(row[n:]) for row in WT[r:]))
+
+
+# the factors of PROPERTY_RINGS, Z2147483629, each factor of Z65521xZ65519
+# and of Z27xZ4, and powers of two
+SKIP_MODULI = [2, 3, 4, 6, 8, 2147483629, 65521, 65519, 27, 2**5, 2**16, 2**31]
+
+
+def test_skipped_steps_and_rows_only_forms_match_the_reference_loop():
+    rng = random.Random(2806)
+    cases = Counter()
+    for t in SKIP_MODULI:
+        divisors = [d for d in range(1, min(t, 64)) if t % d == 0] + [t // 2, t // 3]
+        for _ in range(40):
+            m, n = rng.randint(1, 6), rng.randint(1, 5)
+            # entries that are multiples of divisors of t make zero-divisor
+            # pivots, and a repeated or scaled row makes b == p and p | b
+            rows = [[rng.choice(divisors) * rng.randrange(t) % t for _ in range(n)]
+                    for _ in range(m)]
+            for _ in range(rng.randint(0, 2)):
+                rows.insert(rng.randrange(len(rows) + 1),
+                            [rng.choice(divisors) * a % t for a in rng.choice(rows)])
+            full = howell_rows(rows, n, t)
+            want = reference_howell(rows, n, t, cases)
+            assert (full.rows, full.pivot_cols, full.transform_rows, full.kernel_rows) == want
+            lazy = span_form(rows, n, t)
+            assert (lazy.rows, lazy.pivot_cols) == want[:2]
+            assert lazy._transform is None and lazy._source is not None
+            assert (lazy.transform_rows, lazy.kernel_rows) == want[2:]
+            assert lazy._source is None and lazy == full and hash(lazy) == hash(full)
+    assert min(cases[k] for k in ("b == p", "p | b", "p does not divide b",
+                                  "zero-divisor pivot")) > 0, cases
+
+
+def test_a_rows_only_form_fills_on_the_first_read_of_any_field():
+    rows = [[2, 1, 3], [4, 2, 0]]
+    full = howell_rows(rows, 3, 8)
+    reads = {
+        "transform_rows": lambda hf: hf.transform_rows,
+        "kernel_rows": lambda hf: hf.kernel_rows,
+        "==": lambda hf: hf == full,
+        "hash": hash,
+        "repr": repr,
+        "solve": lambda hf: hf.solve(full.rows[0]),
+    }
+    for name, read in reads.items():
+        lazy = span_form(rows, 3, 8)
+        assert lazy.rows == full.rows and lazy._transform is None, name
+        read(lazy)
+        assert lazy._source is None, name
+        assert (lazy.transform_rows, lazy.kernel_rows) == (full.transform_rows, full.kernel_rows)
+        assert repr(lazy) == repr(full) and lazy.solve(full.rows[0]) == full.solve(full.rows[0])
+    # span questions read rows alone
+    lazy = span_form(rows, 3, 8)
+    lazy.span_cardinality(), lazy.contains([2, 1, 3]), list(lazy.enumerate_span())
+    assert lazy._transform is None and lazy._source is not None
 
 
 # numpy arrays are accepted wherever rows or vectors of integers are: each

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import ringcodes.pcs as pcsmod
-from ringcodes import submodules
+from ringcodes import howell, submodules
 from ringcodes import (
     CodePresentation,
     ConditionIIIViolation,
@@ -214,15 +214,16 @@ def test_h_part_of_the_forms_of_h_and_s_is_the_form_of_h():
 
 
 def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
+    # one entry per run of the one Howell loop, rows-only or on [W | T],
+    # filling a form included: the rows it starts from and their width
     calls = []
-    howell_rows = submodules.howell_rows
+    eliminate = howell._eliminate
 
     def counting(rows, ncols, t):
         calls.append((tuple(map(tuple, rows)), ncols, t))
-        return howell_rows(rows, ncols, t)
+        return eliminate(rows, ncols, t)
 
-    for module in (submodules, pcsmod):
-        monkeypatch.setattr(module, "howell_rows", counting)
+    monkeypatch.setattr(howell, "_eliminate", counting)
     spec = parse_ring("Z3xZ4")
     h = [rv(spec, [(1, 2), (2, 0), (0, 3)]), rv(spec, [(2, 1), (1, 2), (0, 1)])]
     # validation builds one Howell form per factor, that of [H | S], and
@@ -264,14 +265,13 @@ def test_is_linear_and_kernel_share_one_form_of_s(monkeypatch):
     pcs = random_linear_instance(random.Random(5), ["Z4"])
     assert (pcs.m, pcs.s) == (1, 2)
     calls = []
-    howell_rows = submodules.howell_rows
+    eliminate = howell._eliminate
 
     def counting(rows, ncols, t):
         calls.append(tuple(map(tuple, rows)))
-        return howell_rows(rows, ncols, t)
+        return eliminate(rows, ncols, t)
 
-    for module in (submodules, pcsmod):
-        monkeypatch.setattr(module, "howell_rows", counting)
+    monkeypatch.setattr(howell, "_eliminate", counting)
     weight_enumerator_linear(pcs)
     assert calls.count(tuple(r.component(0) for r in pcs.s_rows)) == 1
     assert calls.count(((0, 2),)) == 1
@@ -570,6 +570,9 @@ def test_kernel_of_a_linear_code_needs_no_column_pairs():
         assert ker.cardinality == pcs.code_cardinality() == 101 * len(cols)
         assert ker.contains(rv(spec, (cols[1][0], cols[1][1], 7)))
         assert all(member(pcs, g) for g in ker.canonical_generators())
+        # col(S), the kernel syndromes, is the span of the s columns too
+        assert Submodule.from_generators(spec, 2, pcs.s_cols) == (
+            submodules.left_kernel(spec, pcs.s_span.forms).annihilator())
 
 
 def test_validate_agrees_with_exhaustive_checks():

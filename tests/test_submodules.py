@@ -359,3 +359,31 @@ def test_product_ring_membership_and_solves_in_plain_integers():
     half = Submodule.from_generators(spec, 1, [rv(spec, [(1, 2)])])
     assert not half.contains(rv(spec, [(0, 1)]))
     assert half.contains(rv(spec, [(5, 4)]))
+
+
+def test_the_span_of_many_generators_builds_no_transform_until_read(monkeypatch):
+    # all 10201 vectors of Z101^2: one rows-only loop over rows of width 2;
+    # [W | T] would hold 10201 * (2 + 10201) entries
+    z101 = parse_ring("Z101")
+    gens = [rv(z101, (a, b)) for a in range(101) for b in range(101)]
+    widths = []
+    eliminate = howell._eliminate
+
+    def recording(rows, ncols, t):
+        widths.append({len(row) for row in rows})
+        return eliminate(rows, ncols, t)
+
+    monkeypatch.setattr(howell, "_eliminate", recording)
+    span = Submodule.from_generators(z101, 2, gens)
+    assert widths == [{2}]
+    (hf,) = span.forms
+    assert hf._transform is None and hf._kernel is None and len(hf._source) == 10201
+    # span questions read the rows alone
+    assert span.cardinality == 101**2 and span.contains(rv(z101, (5, 7)))
+    assert span == Submodule.from_generators(z101, 2, [rv(z101, (1, 0)), rv(z101, (0, 1))])
+    assert span.canonical_generators() == (rv(z101, (1, 0)), rv(z101, (0, 1)))
+    assert len(widths) == 2 and hf._transform is None
+    # the first read of the transform builds it, through the gate
+    with pytest.raises(BudgetExceeded) as exc:
+        hf.kernel_rows
+    assert (exc.value.what, exc.value.needed) == ("howell transform", 10201 * 10203)
