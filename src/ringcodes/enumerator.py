@@ -191,8 +191,6 @@ def _binomial_substitution(coeffs: Sequence[int], q: int, n: int) -> list[int]:
         left = [math.comb(n - w, i) * a**i for i in range(n - w + 1)]
         right = [math.comb(w, i) * (-1) ** i for i in range(w + 1)]
         for i, li in enumerate(left):
-            if not li:
-                continue
             for j, rj in enumerate(right):
                 out[i + j] += c * li * rj
     return out

@@ -115,6 +115,38 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
+def _rows(spec: RingSpec, block: list[tuple[str, int]],
+          bar: bool) -> tuple[tuple[RingVec, ...], ...]:
+    """The vectors of one block's lines, as (H rows, S rows) when bar is set,
+    each line split at its one '|', else as (rows,) with no '|' allowed.
+    Every line must have the first one's shape."""
+    rows, shape = [], None
+    for line, no in block:
+        toks = _tokenize(line)
+        cols = [c for t, c in toks if t == "|"]
+        if not bar:
+            if cols:
+                raise ParseError("'|' does not belong in code mode", no, cols[0])
+            parts = [toks]
+        elif not cols:
+            raise ParseError("pcs row needs a '|' between H and S entries", no, 1)
+        elif len(cols) > 1:
+            raise ParseError("only one '|' per row", no, cols[1])
+        else:
+            cut = toks.index(("|", cols[0]))
+            parts = [toks[:cut], toks[cut + 1:]]
+            if not all(parts):
+                raise ParseError("both sides of '|' need at least one entry", no, 1)
+        rows.append([_vector(spec, part, no) for part in parts])
+        got = [*map(len, parts)]  # one token per entry, as _vector passed them all
+        if shape is None:
+            shape = got
+        elif got != shape:
+            raise ParseError(f"row has {'|'.join(map(str, got))} entries, expected "
+                             f"{'|'.join(map(str, shape))}", no, 1)
+    return tuple(zip(*rows))
+
+
 def parse_problem(text: str) -> ProblemFile:
     """Parse problem-file text; raises ParseError with a 1-based location."""
     lines = [(_strip_comment(raw), i + 1) for i, raw in enumerate(text.splitlines())]
@@ -134,75 +166,29 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError(f"mode must be 'pcs' or 'code', got {mode_text.strip()!r}", mode_line, 1)
 
     # data region: original line order, blocks split on blank lines
-    data_start = mode_line
     blocks: list[list[tuple[str, int]]] = [[]]
-    for line, no in lines:
-        if no <= data_start:
-            continue
+    for line, no in lines[mode_line:]:
         if line.strip():
             blocks[-1].append((line, no))
         elif blocks[-1]:
             blocks.append([])
-    if blocks and not blocks[-1]:
+    if not blocks[-1]:
         blocks.pop()
 
     if mode == "pcs":
         if len(blocks) != 1:
             raise ParseError("pcs mode expects one contiguous block of rows", mode_line)
-        h_rows, s_rows = [], []
-        n = s = None
-        for line, no in blocks[0]:
-            toks = _tokenize(line)
-            if not any(t == "|" for t, _ in toks):
-                raise ParseError("pcs row needs a '|' between H and S entries", no, 1)
-            split = next(i for i, (t, _) in enumerate(toks) if t == "|")
-            left, right = toks[:split], toks[split + 1 :]
-            if any(t == "|" for t, _ in right):
-                _, c = next((t, c) for t, c in right if t == "|")
-                raise ParseError("only one '|' per row", no, c)
-            if not left or not right:
-                raise ParseError("both sides of '|' need at least one entry", no, 1)
-            hv, sv = _vector(spec, left, no), _vector(spec, right, no)
-            if n is None:
-                n, s = len(hv), len(sv)
-            elif len(hv) != n or len(sv) != s:
-                raise ParseError(
-                    f"row has {len(hv)}|{len(sv)} entries, expected {n}|{s}", no, 1
-                )
-            h_rows.append(hv)
-            s_rows.append(sv)
-        if not h_rows:
-            raise ParseError("pcs mode needs at least one row", mode_line)
-        return ProblemFile(spec, "pcs", h_rows=tuple(h_rows), s_rows=tuple(s_rows))
-
-    # code mode
+        h_rows, s_rows = _rows(spec, blocks[0], True)
+        return ProblemFile(spec, "pcs", h_rows=h_rows, s_rows=s_rows)
     if len(blocks) != 2:
         raise ParseError(
             f"code mode expects two blocks separated by a blank line, got {len(blocks)}",
             mode_line,
         )
-    parsed_blocks = []
-    for block in blocks:
-        rows = []
-        width = None
-        for line, no in block:
-            toks = _tokenize(line)
-            if any(t == "|" for t, _ in toks):
-                _, c = next((t, c) for t, c in toks if t == "|")
-                raise ParseError("'|' does not belong in code mode", no, c)
-            v = _vector(spec, toks, no)
-            if width is None:
-                width = len(v)
-            elif len(v) != width:
-                raise ParseError(f"row has {len(v)} entries, expected {width}", no, 1)
-            rows.append(v)
-        parsed_blocks.append(rows)
-    gens, reps = parsed_blocks
+    gens, reps = (_rows(spec, block, False)[0] for block in blocks)
     if len(gens[0]) != len(reps[0]):
         raise ParseError("generator and representative blocks disagree on length")
-    return ProblemFile(
-        spec, "code", generators=tuple(gens), representatives=tuple(reps)
-    )
+    return ProblemFile(spec, "code", generators=gens, representatives=reps)
 
 
 def format_vector(v: RingVec) -> str:

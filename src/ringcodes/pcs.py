@@ -34,7 +34,8 @@ from .rings import (
     vec_sub,
     zero_vec,
 )
-from .submodules import Submodule, left_kernel, solve_forms, transpose_forms, transposed_forms
+from .submodules import (Submodule, left_kernel, solve_forms, syzygies, transpose_forms,
+                          transposed_forms)
 
 if TYPE_CHECKING:
     from .reach import SyndromeSpace
@@ -47,13 +48,10 @@ class PCSValidationError(Exception):
 class ConditionIViolation(PCSValidationError):
     """S entry outside the image ideal of its H row.  Indices are 1-based."""
 
-    def __init__(self, row: int, col: int, message: str = ""):
+    def __init__(self, row: int, col: int):
         self.row = row
         self.col = col
-        super().__init__(
-            message
-            or f"S entry at row {row}, column {col} is outside the image of H row {row}"
-        )
+        super().__init__(f"S entry at row {row}, column {col} is outside the image of H row {row}")
 
 
 class ConditionIIViolation(PCSValidationError):
@@ -130,13 +128,9 @@ class ParityCheckSystem:
         forms = [span_form([h.component(f) + s.component(f) for h, s in pairs], n + self.s, t)
                  for f, t in enumerate(spec.factors)]
         if any(c >= n for hf in forms for c in hf.pivot_cols):
-            # the transforms of the rows pivoting in S and the kernel rows span
-            # H's syzygies; their Howell forms are the syzygy module's own
-            syz = Submodule(spec, self.m, [span_form(
-                hf.transform_rows[sum(c < n for c in hf.pivot_cols):] + hf.kernel_rows,
-                self.m, hf.modulus) for hf in forms])
+            # the witness: H's first canonical syzygy r with r S != 0
             raise ConditionIIIViolation(next(
-                r for r in syz.canonical_generators()
+                r for r in syzygies(spec, self.h_rows).canonical_generators()
                 if any(not dot(r, col).is_zero() for col in self.s_cols)))
         # the H part of the form of [H | S] is the form of H, transform and
         # kernel rows too: no operation touches a column without a pivot

@@ -325,8 +325,6 @@ def scale(r: RingElem, x: RingVec) -> RingVec:
 def dot(x: RingVec, y: RingVec) -> RingElem:
     """Standard bilinear form sum_i x_i * y_i."""
     _check_pair(x, y)
-    if len(x.flat) != len(y.flat):
-        raise ValueError("length mismatch in dot product")
     k = len(x.spec.factors)
     return RingElem(x.spec, tuple(
         sum(map(operator.mul, x.flat[f::k], y.flat[f::k])) % t
@@ -342,8 +340,6 @@ def weight(x: RingVec) -> int:
 def hamming(x: RingVec, y: RingVec) -> int:
     """Hamming distance: the number of coordinates where x and y differ."""
     _check_pair(x, y)
-    if len(x.flat) != len(y.flat):
-        raise ValueError("length mismatch in Hamming distance")
     return sum(map(operator.ne, x.coords, y.coords))
 
 
@@ -364,5 +360,8 @@ def enumerate_vectors(spec: RingSpec, n: int) -> Iterator[RingVec]:
 
 
 def _check_pair(x: RingVec, y: RingVec) -> None:
-    if x.spec != y.spec:
+    """The one check of vec_add, vec_sub, dot and hamming: same ring, same length."""
+    if x.spec is not y.spec and x.spec != y.spec:
         raise ValueError("vectors live in different rings")
+    if len(x.flat) != len(y.flat):
+        raise ValueError("vectors differ in length")

@@ -146,6 +146,34 @@ def test_parse_error_block_structure():
         parse_problem("Z6\ncode\n1 | 0\n\n0 0\n")
 
 
+# problem text -> the ParseError text, with its line and column
+ROW_ERRORS = {
+    "Z6\npcs\n1 2 3\n": "line 3, col 1: pcs row needs a '|' between H and S entries",
+    "Z6\npcs\n1 | 2 | 3\n": "line 3, col 7: only one '|' per row",
+    "Z6\npcs\n1 ? | 2 | 3\n": "line 3, col 9: only one '|' per row",
+    "Z6\npcs\n| 1\n": "line 3, col 1: both sides of '|' need at least one entry",
+    "Z6\npcs\n1 |\n": "line 3, col 1: both sides of '|' need at least one entry",
+    "Z6\npcs\n1 ? | (1,2)\n": "line 3, col 3: unexpected token '?'",
+    "Z6\npcs\n1 | (1,2)\n":
+        "line 3, col 5: ring Z6 has one factor, write elements as bare integers",
+    "Z6\npcs\n1 2 | 0\n1 | 0\n": "line 4, col 1: row has 1|1 entries, expected 2|1",
+    "Z6\npcs\n1 2 | 0\n1 2 | 0 0\n": "line 4, col 1: row has 2|2 entries, expected 2|1",
+    "Z6\ncode\n1 | 0\n\n0 0\n": "line 3, col 3: '|' does not belong in code mode",
+    "Z6\ncode\n1 2\n1\n\n0 0\n": "line 4, col 1: row has 1 entries, expected 2",
+    "Z6\ncode\n1 2\n\n0 0\n0 0 0\n": "line 6, col 1: row has 3 entries, expected 2",
+    "Z6\ncode\n1 ?\n\n0 0 |\n": "line 3, col 3: unexpected token '?'",
+    "Z6\ncode\n1 2\n\n0 0 0\n": "generator and representative blocks disagree on length",
+}
+
+
+@pytest.mark.parametrize("text", ROW_ERRORS)
+def test_row_errors_keep_their_text_and_location(text):
+    # a block reads line by line: the first bad line, and within it the first fault
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == ROW_ERRORS[text]
+
+
 def test_negative_entries_reduce():
     pf = parse_problem("Z6\npcs\n-1 -5 | 0\n")
     assert pf.h_rows[0] == rv(Z6, (5, 1))

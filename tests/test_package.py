@@ -8,15 +8,19 @@ import pytest
 
 import ringcodes
 from ringcodes import (
+    CodePresentation,
     DecodeResult,
     EnumeratorPoly,
     ExplicitCode,
     ExponentSum,
+    ParityCheckSystem,
     ProblemFile,
     RingSpec,
     RingVec,
+    Submodule,
+    from_components,
 )
-from ringcodes.howell import howell_form
+from ringcodes.howell import howell_form, span_form
 
 SUBMODULES = [
     "distance", "enumerator", "formats", "fourier", "howell",
@@ -134,6 +138,18 @@ def test_value_class_contract(name):
         (lambda: RingSpec((2**31,)), "factor modulus 2147483648 exceeds limit 2147483648"),
         (lambda: EnumeratorPoly(2, (1, 0)), "need exactly n \\+ 1 coefficients"),
         (lambda: ExplicitCode(Z6, 2, frozenset()), "a code must be nonempty"),
+        (lambda: RingSpec((2, 3)).elem((1, 2, 0)), "expected 2 residues, got 3"),
+        (lambda: RingVec.of(Z6, [1, RingSpec((4,)).elem(1)]), "entry from a different ring"),
+        (lambda: from_components(RingSpec((2, 3)), [(1, 0), (2,)]),
+         "factor components disagree on length"),
+        (lambda: CodePresentation(Submodule.from_generators(Z6, 2, []), []),
+         "a code needs at least one coset representative"),
+        (lambda: CodePresentation(Submodule.from_generators(Z6, 2, []), [RingVec.of(Z6, [0])]),
+         "representative outside the ambient space"),
+        (lambda: ParityCheckSystem([V, V], [RingVec.of(Z6, [0, 0]), RingVec.of(Z6, [0])]),
+         "ragged or mixed-ring S"),
+        (lambda: ParityCheckSystem([V], [RingVec.of(Z6, [])]), "S needs at least one column"),
+        (lambda: span_form([[1, 0]], 2, 1), "modulus must be >= 2"),
     ],
 )
 def test_value_class_constructor_errors(build, message):

@@ -7,6 +7,7 @@ import pytest
 
 from ringcodes import (
     BudgetExceeded,
+    GeneratingCharacter,
     RingElem,
     RingSpec,
     RingVec,
@@ -189,6 +190,41 @@ def test_enumerate_vectors_budget(monkeypatch):
         list(enumerate_vectors(spec, 4))
     assert exc.value.needed == 1296
     assert exc.value.budget == 100
+
+
+Z6, Z4 = RingSpec((6,)), RingSpec((4,))
+
+# name -> (call, the ValueError text it raises)
+REFUSALS = {
+    **{
+        f"{op.__name__} {case}": (lambda op=op, x=x, y=y: op(x, y), message)
+        for op in (vec_add, vec_sub, dot, hamming)
+        for case, x, y, message in [
+            ("longer first", RingVec.of(Z6, [1, 2, 3]), RingVec.of(Z6, [1]),
+             "vectors differ in length"),
+            ("shorter first", RingVec.of(Z6, [1]), RingVec.of(Z6, [1, 2, 3]),
+             "vectors differ in length"),
+            ("other ring", RingVec.of(Z6, [1, 2]), RingVec.of(Z4, [1, 2]),
+             "vectors live in different rings"),
+        ]
+    },
+    "scale other ring": (lambda: scale(Z4.elem(1), RingVec.of(Z6, [1])),
+                         "scalar from a different ring"),
+    "contains other ring": (lambda: Submodule.from_generators(Z6, 1, []).contains(
+        RingVec.of(Z4, [0])), "vector does not live in the ambient space"),
+    "contains other length": (lambda: Submodule.from_generators(Z6, 1, []).contains(
+        RingVec.of(Z6, [0, 0])), "vector does not live in the ambient space"),
+    "exponent other ring": (lambda: GeneratingCharacter(Z6).exponent(Z4.elem(1)),
+                            "element from a different ring"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_operations_refuse_foreign_operands(name):
+    # the pair operations map over both flats, which stops at the shorter one
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_ring_elem_requires_matching_spec():
