@@ -209,9 +209,8 @@ def _fourier(pcs, args, oracle: bool):
 
 
 def _enumerator(pcs, args):
-    npoly, q = ringcodes.pcs_enumerator_poly(pcs), pcs.spec.cardinality
-    # distance_distribution's transform of N, without walking the row span again
-    dd = ringcodes.macwilliams_transform(npoly, q, q**pcs.n)
+    # both read the pair that one walk of the row span keeps on the system
+    npoly, dd = ringcodes.pcs_enumerator_poly(pcs), ringcodes.distance_distribution(pcs)
     return (f"distance distribution: {list(dd.coeffs)}\nD(x,y) = {dd}\nN(x,y) = {npoly}",
             {"distance_distribution": list(dd.coeffs),
              "system_polynomial": list(npoly.coeffs)})

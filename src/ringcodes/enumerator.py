@@ -7,7 +7,9 @@ distribution D(x, y) of the code, whose coefficient on x^(n-i) y^i counts
 ordered codeword pairs at Hamming distance i.  For linear codes D / |C| is
 the weight enumerator and matches the MacWilliams transform of the dual
 code's enumerator, giving a second, independent route to the same
-polynomial.
+polynomial.  N and D come from one walk per system and are kept in the
+system's _enumerators slot, which every function here reads, so a second
+call of any of them walks nothing.
 
 Every step is integer arithmetic.  The span of [H | S] lists the pairs
 (h, S_h), and with e_j the character exponent of S_h(j),
@@ -176,9 +178,19 @@ def _weight_bins(pcs: ParityCheckSystem) -> list[int]:
     return [c * c * v for v in _divide_exact(sums, phi_L)]
 
 
+def _polys(pcs: ParityCheckSystem) -> tuple:
+    """pcs._enumerators, filled on first use: (N, D, W), W None until
+    weight_enumerator_linear has cross-checked it."""
+    if pcs._enumerators is None:
+        q, n = pcs.spec.cardinality, pcs.n
+        system = EnumeratorPoly(n, tuple(_weight_bins(pcs)))
+        pcs._enumerators = (system, macwilliams_transform(system, q, q**n), None)
+    return pcs._enumerators
+
+
 def pcs_enumerator_poly(pcs: ParityCheckSystem) -> EnumeratorPoly:
     """The system polynomial N(x, y), exactly."""
-    return EnumeratorPoly(pcs.n, tuple(_weight_bins(pcs)))
+    return _polys(pcs)[0]
 
 
 def _binomial_substitution(coeffs: Sequence[int], q: int, n: int) -> list[int]:
@@ -202,8 +214,7 @@ def distance_distribution(pcs: ParityCheckSystem) -> EnumeratorPoly:
     Raises NonIntegerCoefficient when any coefficient is not an integer,
     which a valid system never produces.
     """
-    q = pcs.spec.cardinality
-    return macwilliams_transform(pcs_enumerator_poly(pcs), q, q**pcs.n)
+    return _polys(pcs)[1]
 
 
 def macwilliams_transform(poly: EnumeratorPoly, q: int, divisor: int) -> EnumeratorPoly:
@@ -219,13 +230,16 @@ def weight_enumerator_linear(pcs: ParityCheckSystem) -> EnumeratorPoly:
     the actual dual code, the annihilator of the code's kernel (a linear
     code is its own kernel), and MacWilliams-transforms its weight
     enumerator.  The routes must agree coefficient by coefficient; a
-    mismatch means a bug, not bad input.
+    mismatch means a bug, not bad input.  The checked answer is kept with
+    N and D, so a second call walks nothing.
     """
     if not is_linear(pcs):
         raise ValueError("the code of this system is not linear")
+    system, dist, direct_poly = _polys(pcs)
+    if direct_poly is not None:
+        return direct_poly
     size = pcs.code_cardinality()
-    direct = _divide_exact(distance_distribution(pcs).coeffs, size)
-    direct_poly = EnumeratorPoly(pcs.n, tuple(direct))
+    direct_poly = EnumeratorPoly(pcs.n, tuple(_divide_exact(dist.coeffs, size)))
 
     code_module = kernel(pcs)
     if code_module.cardinality != size:  # pragma: no cover - guarded by is_linear
@@ -240,4 +254,5 @@ def weight_enumerator_linear(pcs: ParityCheckSystem) -> EnumeratorPoly:
         raise AssertionError(
             f"enumerator routes disagree: {direct_poly} vs {via_dual}"
         )
+    pcs._enumerators = (system, dist, direct_poly)
     return direct_poly

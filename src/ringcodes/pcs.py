@@ -24,7 +24,7 @@ from operator import mod, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from . import rings
-from .howell import HowellForm, _flat_steps, _reduce, flat_rows, span_form
+from .howell import HowellForm, _flat_steps, _reduce, flat_rows, howell_rows, span_form
 from .rings import (
     RingVec,
     check_budget,
@@ -139,11 +139,13 @@ class ParityCheckSystem:
         self._syndrome_space: Optional[SyndromeSpace] = None
         # (distance, witness), filled by distance.min_distance_witness
         self._distance: Optional[tuple[int, RingVec]] = None
+        self._enumerators: Optional[tuple] = None  # (N, D, W), filled by enumerator.py
 
     @cached_property
     def s_span(self) -> Submodule:
-        """The submodule of R^s generated by the rows of S, read by is_linear and kernel."""
-        return Submodule.from_generators(self.spec, self.s, self.s_rows)
+        """The full Howell form of S's rows: is_linear reads its size, kernel its syzygies."""
+        return Submodule(self.spec, self.s, [howell_rows([v.component(f) for v in self.s_rows], self.s, t)
+                                             for f, t in enumerate(self.spec.factors)])
 
     @cached_property
     def kernel_module(self) -> Submodule:

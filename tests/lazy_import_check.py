@@ -8,9 +8,11 @@ formats and pcs, then parsing, validating and converting the system, loads
 neither numpy nor dataclasses nor the distance, reach, fourier, enumerator
 and oracle modules, and neither does `ringcodes validate` through cli.main.
 The kernel, the linearity test and one system-side Fourier coefficient
-then still load neither numpy nor dataclasses, and neither do
-`ringcodes mindist` and `ringcodes decode`, whose reach tables are Python
-ints, nor `ringcodes enumerator`, `ringcodes fourier --all` and
+then still load neither numpy nor dataclasses.  The distance distribution,
+run before any search, loads none of the distance, reach and oracle
+modules.  `ringcodes mindist` and `ringcodes decode`, whose reach tables
+are Python ints, load neither numpy nor dataclasses, nor do
+`ringcodes enumerator`, `ringcodes fourier --all` and
 `ringcodes to-code --oracle`, whose span walks (the row span of H, the
 kernel) pack each point into one Python int.  Needs only the standard
 library, so it also runs on interpreters without numpy.  Prints the JSON
@@ -49,6 +51,9 @@ assert ringcodes.code_to_pcs(pres).s == 3
 assert ringcodes.kernel(system).cardinality and not ringcodes.is_linear(system)
 assert ringcodes.fourier_coeff_pcs(system, system.h_rows[0]).terms
 assert not {"dataclasses", "numpy"} & set(sys.modules), "numpy or dataclasses was imported"
+assert ringcodes.distance_distribution(system).coeffs == (216, 0, 6480, 17280, 22680)
+SEARCH = {"ringcodes.distance", "ringcodes.reach", "ringcodes.oracle"}
+assert not SEARCH & set(sys.modules), f"the enumerator loaded {sorted(SEARCH & set(sys.modules))}"
 with redirect_stdout(io.StringIO()) as out:
     assert cli.main(["mindist", path, "--json"]) == 0
     assert cli.main(["decode", path, "1,3,1,3", "--json"]) == 0

@@ -30,12 +30,13 @@ from ringcodes import (
     weight_enumerator_linear,
     zero_vec,
 )
-from ringcodes import howell
+from ringcodes import enumerator, howell
 from ringcodes.enumerator import _weight_bins, _weight_keys
 from conftest import (
     OUTSIDE_RINGS,
     PROPERTY_RINGS,
     Z6,
+    build_z6_pcs,
     code_words,
     random_instance,
     random_linear_instance,
@@ -252,13 +253,45 @@ def test_weight_keys_at_the_field_edge(moduli, k):
     assert {w for w, _ in want} == set(range(n + 1))
 
 
-def test_blocked_span_walk_matches_one_block(monkeypatch, z6_pcs):
-    linear = random_linear_instance(random.Random(5), ["Z3xZ4"], space_cap=2000)
-    assert is_linear(linear) and linear.row_module.cardinality > 7
-    want = [pcs_enumerator_poly(z6_pcs), weight_enumerator_linear(linear)]
+def test_blocked_span_walk_matches_one_block(monkeypatch):
+    # fresh systems each time, since a system keeps its enumerators
+    def answers():
+        linear = random_linear_instance(random.Random(5), ["Z3xZ4"], space_cap=2000)
+        assert is_linear(linear) and linear.row_module.cardinality > 7
+        return [pcs_enumerator_poly(build_z6_pcs()), weight_enumerator_linear(linear)]
+
+    want = answers()
     for block in (1, 4, 7):
         monkeypatch.setattr(howell, "_BLOCK", block)
-        assert [pcs_enumerator_poly(z6_pcs), weight_enumerator_linear(linear)] == want
+        assert answers() == want
+
+
+ENUMERATORS = (pcs_enumerator_poly, distance_distribution, weight_enumerator_linear)
+
+
+def test_a_second_call_walks_nothing(monkeypatch):
+    walks = []
+    walk = enumerator.span_walk
+    monkeypatch.setattr(enumerator, "span_walk", lambda *a: walks.append(a) or walk(*a))
+
+    def linear():
+        return random_linear_instance(random.Random(5), ["Z3xZ4"], space_cap=2000)
+
+    for first in ENUMERATORS:
+        pcs = linear()
+        answer = first(pcs)
+        assert walks
+        walks.clear()
+        assert first(pcs) is answer and not walks
+    # N and D come from one walk, whichever is asked first, linear code or not
+    for pcs in (linear(), build_z6_pcs()):
+        pcs_enumerator_poly(pcs)
+        walks.clear()
+        assert distance_distribution(pcs).coeffs and not walks
+    pcs = build_z6_pcs()
+    distance_distribution(pcs)
+    walks.clear()
+    assert pcs_enumerator_poly(pcs) and not walks
 
 
 def test_enumerators_honour_the_budget(z6_pcs, monkeypatch):

@@ -260,8 +260,8 @@ def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
 
 
 def test_is_linear_and_kernel_share_one_form_of_s(monkeypatch):
-    # weight_enumerator_linear asks is_linear and then kernel; both read the
-    # system's one Howell form of S's rows
+    # weight_enumerator_linear asks is_linear and then kernel; together they
+    # run the Howell loop once on S's rows, rows-only W or [W | I] alike
     pcs = random_linear_instance(random.Random(5), ["Z4"])
     assert (pcs.m, pcs.s) == (1, 2)
     calls = []
@@ -273,8 +273,10 @@ def test_is_linear_and_kernel_share_one_form_of_s(monkeypatch):
 
     monkeypatch.setattr(howell, "_eliminate", counting)
     weight_enumerator_linear(pcs)
-    assert calls.count(tuple(r.component(0) for r in pcs.s_rows)) == 1
-    assert calls.count(((0, 2),)) == 1
+    rows = tuple(r.component(0) for r in pcs.s_rows)
+    with_identity = tuple(r + tuple(int(i == j) for j in range(pcs.m)) for i, r in enumerate(rows))
+    assert calls.count(rows) + calls.count(with_identity) == 1
+    assert calls.count(((0, 2),)) + calls.count(((0, 2, 1),)) == 1
 
 
 def test_syndrome_and_member_golden(z6_pcs):
