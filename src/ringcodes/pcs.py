@@ -24,7 +24,7 @@ from operator import mod, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from . import rings
-from .howell import HowellForm, _flat_steps, _reduce, flat_rows, howell_rows, span_form
+from .howell import HowellForm, _flat_steps, _reduce, flat_rows, span_form
 from .rings import (
     RingVec,
     check_budget,
@@ -143,14 +143,14 @@ class ParityCheckSystem:
 
     @cached_property
     def s_span(self) -> Submodule:
-        """The full Howell form of S's rows: is_linear reads its size, kernel its syzygies."""
-        return Submodule(self.spec, self.s, [howell_rows([v.component(f) for v in self.s_rows], self.s, t)
+        """The Howell form of S's rows, rows only: is_linear and kernel read its size."""
+        return Submodule(self.spec, self.s, [span_form([v.component(f) for v in self.s_rows], self.s, t)
                                              for f, t in enumerate(self.spec.factors)])
 
-    @cached_property
+    @property
     def kernel_module(self) -> Submodule:
-        """D = {x : H x^T = 0}, the common kernel of the checks, from ht_forms."""
-        return left_kernel(self.spec, self.ht_forms)
+        """D = {x : H x^T = 0}, the common kernel of the checks: the pullback's D."""
+        return self._pullback[0]
 
     @cached_property
     def _space_cost(self) -> int:
@@ -235,16 +235,11 @@ class ParityCheckSystem:
         fields, mask = self._syndrome_plan[7:]
         return RingVec._of(self.spec, tuple([(key >> b & mask) // w for b, w in fields]))
 
-    @cached_property
-    def ht_forms(self) -> tuple[HowellForm, ...]:
-        """One Howell form of H^T per ring factor, for pulling syndromes back."""
-        return tuple(transpose_forms(self.h_rows))
-
     def preimage(self, sigma: RingVec) -> Optional[RingVec]:
-        """One x with H x^T = sigma, free directions zeroed, or None."""
+        """One x with H x^T = sigma, free directions zeroed, or None; builds the form of H^T."""
         if sigma.spec != self.spec or len(sigma) != self.m:
             raise ValueError("syndrome does not match the system's check rows")
-        return solve_forms(self.spec, self.ht_forms, sigma)
+        return solve_forms(self.spec, transpose_forms(self.h_rows), sigma)
 
     @cached_property
     def kernel_cardinality(self) -> int:
@@ -257,8 +252,9 @@ class ParityCheckSystem:
         return self.spec.cardinality**self.n // self.row_module.cardinality
 
     @cached_property
-    def _character_plan(self) -> tuple:
-        """The _plan of fourier_coeff_pcs, from H's Howell rows G and hs_forms' S part.
+    def _pullback(self) -> tuple[Submodule, tuple[RingVec, ...]]:
+        """(D, (a_1, ..., a_s)): D = {x : H x^T = 0} and one a_j with H a_j^T = S_j,
+        from H's Howell rows G and hs_forms' S part.
 
         Per factor, the kernel rows of T = the form of G^T span D = {y : G y^T = 0},
         whose dual is the row span of H over a Frobenius ring (Wood 1999), and
@@ -270,9 +266,14 @@ class ParityCheckSystem:
                  for T, hs in zip(ts, self.hs_forms)]
         if any(None in sols for sols in parts):
             raise InternalInconsistency("a column of S has no solution against H's rows")
-        return _plan(self.spec, self.n, left_kernel(self.spec, ts).forms,
-                     [from_components(self.spec, a) for a in zip(*parts)],
-                     self.kernel_cardinality, "vector does not match the system's ambient space")
+        return left_kernel(self.spec, ts), tuple(from_components(self.spec, a) for a in zip(*parts))
+
+    @cached_property
+    def _character_plan(self) -> tuple:
+        """The _plan of fourier_coeff_pcs, packing the pullback's D and a_j."""
+        d, reps = self._pullback
+        return _plan(self.spec, self.n, d.forms, reps, self.kernel_cardinality,
+                     "vector does not match the system's ambient space")
 
     def s_row(self, x: RingVec) -> Optional[RingVec]:
         """S_x, paired with x in the span of [H | S], or None outside the row span."""
@@ -301,28 +302,34 @@ def validate_pcs(
 
 
 class CodePresentation:
-    """A code written as s pairwise-disjoint cosets of a submodule D."""
+    """A code written as s pairwise-disjoint cosets of a submodule D, each
+    representative kept as its canonical remainder mod D."""
 
     def __init__(self, kernel: Submodule, representatives: Sequence[RingVec]):
         self.spec = kernel.spec
         self.n = kernel.ambient_n
         self.kernel = kernel
-        self.representatives = tuple(representatives)
-        if not self.representatives:
+        given = tuple(representatives)
+        if not given:
             raise ValueError("a code needs at least one coset representative")
-        for d in self.representatives:
+        for d in given:
             if d.spec != self.spec or len(d) != self.n:
                 raise ValueError("representative outside the ambient space")
-        # equal remainders modulo D mean one coset; name the least such pair
+        # each representative is kept as its remainder modulo D, canonical per
+        # coset (HowellForm.divide); equal remainders mean one coset, so name
+        # the least such pair
         first: dict[tuple, int] = {}
-        clashes = []
+        clashes, reps = [], []
         steps, mods = _flat_steps(kernel.forms), self.spec.factors * self.n
-        for j, d in enumerate(self.representatives):
+        for j, d in enumerate(given):
             v = [*d.flat]
             _reduce(steps, v)
-            i = first.setdefault(tuple(map(mod, v, mods)), j)
+            rest = tuple(map(mod, v, mods))
+            i = first.setdefault(rest, j)
             if i != j:
                 clashes.append((i, j))
+            reps.append(RingVec._of(self.spec, rest))
+        self.representatives = tuple(reps)
         if clashes:
             i, j = min(clashes)
             raise ValueError(f"representatives {i + 1} and {j + 1} present the same coset")
@@ -383,16 +390,11 @@ def code_to_pcs(
 
 
 def pcs_to_code(pcs: ParityCheckSystem) -> CodePresentation:
-    """Recover the coset presentation: D is the common kernel, reps solve H x = col."""
-    reps = []
-    for j, col in enumerate(pcs.s_cols):
-        x = pcs.preimage(col)
-        if x is None:
-            raise InternalInconsistency(
-                f"column {j + 1} of a validated system has no preimage"
-            )
-        reps.append(x)
-    return CodePresentation(pcs.kernel_module, tuple(reps))
+    """Recover the coset presentation from the system's pullback: D and each a_j,
+    kept as its canonical remainder mod D.  The dual of D is the row span of H."""
+    pres = CodePresentation(*pcs._pullback)
+    pres._dual = pcs.row_module
+    return pres
 
 
 def _pack(rows: Sequence[Sequence[int]], width: int) -> list[int]:
@@ -443,48 +445,43 @@ def kernel(pcs: ParityCheckSystem) -> Submodule:
     """The kernel of the code: {y : r y + c stays in the code for all r, c}.
 
     It is the preimage under H of the kernel syndromes, so in each factor it
-    is spanned by D, the kernel rows of ht_forms, and the preimage of each
-    kernel syndrome.  For a linear code those syndromes are all of col(S), the
-    annihilator of the syzygies of S's rows (see is_linear), and its
-    canonical generators stand in for its s elements; otherwise
-    _kernel_syndromes lists them from the column differences.
+    is spanned by D and one pullback of each kernel syndrome, read off the
+    system's pullback (D, a_j).  A linear code is its own kernel, spanned by
+    D and the a_j (see is_linear); otherwise every kernel syndrome is some
+    S_l - S_1, listed by _kernel_syndromes from the column differences, and
+    a_l - a_1 pulls it back.
     """
-    spec = pcs.spec
+    d, reps = pcs._pullback
     if pcs.s_span.cardinality == pcs.s:
-        syndromes = left_kernel(spec, pcs.s_span.forms).annihilator().canonical_generators()
+        pullbacks = reps
     else:
-        syndromes = _kernel_syndromes(pcs)
-    pullbacks = [pcs.preimage(sigma) for sigma in syndromes]
-    if None in pullbacks:
-        raise InternalInconsistency("kernel syndrome has no preimage")
-    parts = [
-        span_form([*ht.kernel_rows, *(x.component(f) for x in pullbacks)], pcs.n, ht.modulus)
-        for f, ht in enumerate(pcs.ht_forms)
-    ]
-    return Submodule(spec, pcs.n, parts)
+        pullbacks = [vec_sub(reps[l], reps[0]) for l in _kernel_syndromes(pcs)]
+    parts = [span_form([*hf.rows, *(x.component(f) for x in pullbacks)], pcs.n, hf.modulus)
+             for f, hf in enumerate(d.forms)]
+    return Submodule(pcs.spec, pcs.n, parts)
 
 
-def _kernel_syndromes(pcs: ParityCheckSystem) -> list[RingVec]:
-    """The sigma with r sigma + col(S) = col(S) for every scalar r.
+def _kernel_syndromes(pcs: ParityCheckSystem) -> list[int]:
+    """The l with r sigma + col(S) = col(S) for sigma = S_l - S_1 and every scalar r.
 
-    The r = 1 case makes sigma a member of the additive stabiliser of
-    col(S), the column differences shared by every column.  That is a
-    group, and r sigma is an integer combination of the e_f sigma for the
-    factor idempotents e_f (1 in factor f, 0 elsewhere), so it is enough
-    that every e_f sigma lies in the stabiliser too.
+    The r = 1 case puts sigma in the additive stabiliser of col(S), the
+    differences shared by every column, each of them some S_l - S_1.  That
+    is a group, and r sigma is an integer combination of the e_f sigma for
+    the factor idempotents e_f (1 in factor f, 0 elsewhere), so it is
+    enough that every e_f sigma lies in the stabiliser too.
     """
     spec, cols = pcs.spec, pcs.s_cols
     check_budget(pcs.s * pcs.s, "column differences", "pairs")
-    stabiliser = {vec_sub(c, cols[0]) for c in cols}
+    index = {vec_sub(c, cols[0]): l for l, c in enumerate(cols)}
+    stabiliser = set(index)
     for base in cols[1:]:
         stabiliser &= {vec_sub(c, base) for c in cols}
     idempotents = [
         spec.elem([int(g == f) for g in range(spec.nfactors)])
         for f in range(spec.nfactors)
     ]
-    return [
-        sigma for sigma in stabiliser if all(scale(e, sigma) in stabiliser for e in idempotents)
-    ]
+    return [index[sigma] for sigma in stabiliser
+            if all(scale(e, sigma) in stabiliser for e in idempotents)]
 
 
 def is_linear(pcs: ParityCheckSystem) -> bool:

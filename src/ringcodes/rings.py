@@ -15,8 +15,8 @@ import re
 from itertools import cycle, product
 from typing import Iterable, Iterator, Sequence, Union
 
-#: Largest modulus accepted for a single factor.  Keeping moduli below 2**31
-#: means any product of two residues fits in a 64-bit signed integer.
+#: Every factor modulus is below this.  Keeping moduli below 2**31 means any
+#: product of two residues fits in a 64-bit signed integer.
 MAX_MODULUS = 2**31
 
 #: The one cap on every exhaustive stage (see check_budget).
@@ -87,7 +87,7 @@ class RingSpec(Value):
             if not isinstance(t, int) or t < 2:
                 raise ValueError(f"factor moduli must be integers >= 2, got {t!r}")
             if t >= MAX_MODULUS:
-                raise ValueError(f"factor modulus {t} exceeds limit {MAX_MODULUS}")
+                raise ValueError(f"factor modulus {t} is not below the limit {MAX_MODULUS}")
         self.factors = factors
         self.char_order = L = math.lcm(*factors)
         self.character_weights = tuple(L // t for t in factors)

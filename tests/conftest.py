@@ -13,6 +13,7 @@ from ringcodes import (
     RingVec,
     Submodule,
     code_to_pcs,
+    dot,
     parse_ring,
     scale,
     validate_pcs,
@@ -133,6 +134,45 @@ def random_systems(
         else random_instance(rng, rings, space_cap=space_cap)[0]
         for i in range(count)
     ]
+
+
+# large prime moduli, large product rings, and products of a small and a large factor
+LARGE_RINGS = ["Z2147483647", "Z2147483629", "Z65521xZ65519", "Z1009xZ997", "Z27xZ4",
+               "Z2xZ2147483629"]
+
+
+def random_large_system(rng: random.Random, ring: str) -> ParityCheckSystem:
+    """A random valid system over ring with S = H . reps, m <= 3, n <= 4, s <= 4.
+
+    Some rows of H are scaled by a zero divisor (a factor set to 0 or, where
+    t_f is small, times a prime dividing it).  About one system in four is
+    linear: its reps are the multiples c z g of one vector g, z of prime
+    additive order p (p | t_f in one small factor, 0 elsewhere), or just the
+    zero vector when no factor is small.
+    A rep whose syndrome repeats an earlier one is skipped.
+    """
+    spec = parse_ring(ring)
+    m, n = rng.randint(1, 3), rng.randint(1, 4)
+
+    def zero_divisor():
+        return spec.elem([0 if rng.random() < 0.3 else next(
+            (p for p in (2, 3) if t % p == 0 and t < 100 and rng.random() < 0.5), 1)
+            * rng.randrange(t) for t in spec.factors])
+
+    h = [random_vec(rng, spec, n) for _ in range(m)]
+    h = [scale(zero_divisor(), row) if rng.random() < 0.4 else row for row in h]
+    small = [(f, p) for f, t in enumerate(spec.factors) for p in (2, 3) if t % p == 0 and t < 100]
+    if rng.random() < 0.25:
+        f, p = rng.choice(small) if small else (0, 1)
+        z = spec.elem([t // p if g == f and p > 1 else 0 for g, t in enumerate(spec.factors)])
+        g = scale(z, random_vec(rng, spec, n))
+        reps = [scale(spec.elem(c), g) for c in range(p)]
+    else:
+        reps = [random_vec(rng, spec, n) for _ in range(rng.randint(2, 4))]
+    cols: dict[tuple, RingVec] = {}
+    for d in reps:
+        cols.setdefault(tuple(dot(row, d) for row in h), d)
+    return validate_pcs(h, [RingVec.of(spec, [dot(row, d) for d in cols.values()]) for row in h])
 
 
 def code_words(pres: CodePresentation) -> set[RingVec]:

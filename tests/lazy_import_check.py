@@ -23,6 +23,10 @@ import io
 import sys
 from contextlib import redirect_stdout
 
+if len(sys.argv) != 2:
+    print("usage: PYTHONPATH=src python tests/lazy_import_check.py FILE", file=sys.stderr)
+    sys.exit(2)
+
 import ringcodes
 
 assert not [m for m in sys.modules if m.startswith("ringcodes.")], "a submodule was imported"

@@ -394,3 +394,10 @@ def test_validate_and_to_code_leave_numpy_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_lazy_import_check_without_a_file_prints_its_usage():
+    script = Path(__file__).with_name("lazy_import_check.py")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage: PYTHONPATH=src python tests/lazy_import_check.py FILE\n"

@@ -566,7 +566,7 @@ def test_system_route_never_divides_or_reads_the_coset_side(z6_pcs, monkeypatch)
         return divide(hf, v)
 
     monkeypatch.setattr(HowellForm, "divide", narrow_divide)
-    for name in ("kernel_module", "ht_forms", "preimage"):
+    for name in ("kernel_module", "preimage"):
         monkeypatch.setattr(ParityCheckSystem, name, property(refuse))
     for x, value in Z6_FOURIER_TABLE.items():
         assert fourier_coeff_pcs(z6_pcs, rv(Z6, x)).evaluate() == pytest.approx(value, abs=1e-9)

@@ -18,6 +18,8 @@ from ringcodes import (
     code_to_pcs,
     dot,
     enumerate_vectors,
+    from_components,
+    fourier_coeff_coset,
     fourier_coeff_pcs,
     is_linear,
     kernel,
@@ -39,6 +41,7 @@ from ringcodes import (
     zero_vec,
 )
 from conftest import (
+    LARGE_RINGS,
     OUTSIDE_RINGS,
     PROPERTY_RINGS,
     Z6,
@@ -49,6 +52,7 @@ from conftest import (
     build_z6_presentation,
     code_words,
     random_instance,
+    random_large_system,
     random_linear_instance,
     random_vec,
     rv,
@@ -228,15 +232,15 @@ def test_validation_and_kernel_size_compute_the_form_of_h_once(monkeypatch):
     h = [rv(spec, [(1, 2), (2, 0), (0, 3)]), rv(spec, [(2, 1), (1, 2), (0, 1)])]
     # validation builds one Howell form per factor, that of [H | S], and
     # row_module is its H part; Howell forms per factor of one call on a
-    # freshly validated system: kernel_module is read off that of H^T,
-    # the first coefficient's plan adds the forms of G^T (G the Howell rows
-    # of H) and of D, and kernel adds the forms of S and of the kernel (both
-    # codes are nonlinear)
+    # freshly validated system: the pullback, which pcs_to_code and the first
+    # coefficient's plan read, builds the forms of G^T (G the Howell rows of
+    # H) and of D, and kernel reads the pullback and adds the forms of S and
+    # of the kernel (both codes are nonlinear)
     per_factor = [
         (pcs_to_code, 2),
         (lambda pcs: fourier_coeff_pcs(pcs, pcs.h_rows[0]), 2),
         (pcs_enumerator_poly, 0),
-        (kernel, 3),
+        (kernel, 4),
     ]
     for pcs in (build_z6_pcs(),
                 _system_from_reps(h, [rv(spec, [(1, 1), (0, 0), (2, 3)]), zero_vec(spec, 3)])):
@@ -335,7 +339,14 @@ def test_preimage_refuses_a_syndrome_of_another_ring_or_length(z6_pcs, sigma):
     assert str(exc.value) == "syndrome does not match the system's check rows"
 
 
+def _remainder(d, x):
+    """x reduced mod the submodule d, factor by factor: its canonical coset remainder."""
+    return from_components(x.spec, [hf.divide(part)[1] for hf, part in zip(d.forms, x.components())])
+
+
 def test_columns_are_pulled_back_through_one_cached_form(monkeypatch):
+    # the representatives are solve_right's answers reduced mod D, read off
+    # the system's one cached pullback: no form of H^T is built
     built = []
     real = pcsmod.transpose_forms
     monkeypatch.setattr(pcsmod, "transpose_forms", lambda rows: built.append(1) or real(rows))
@@ -344,10 +355,58 @@ def test_columns_are_pulled_back_through_one_cached_form(monkeypatch):
         pcs, _ = random_instance(rng, rings=["Z6", "Z3xZ4", "Z2xZ4"], space_cap=300)
         built.clear()
         pres = pcs_to_code(pcs)
-        assert pres.representatives == tuple(solve_right(pcs.h_rows, c) for c in pcs.s_cols)
-        assert pcs_to_code(pcs).representatives == pres.representatives
+        assert pres.representatives == tuple(
+            _remainder(pres.kernel, solve_right(pcs.h_rows, c)) for c in pcs.s_cols)
+        again = pcs_to_code(pcs)
+        assert again.representatives == pres.representatives and again.kernel is pres.kernel
         assert set(kernel(pcs).enumerate()) == set(oracle_kernel(oracle_code_from_pcs(pcs)))
-        assert built == [1]
+        assert built == []
+
+
+def _combination(rng, spec, n, gens):
+    """A random R-combination of gens in R^n."""
+    x = zero_vec(spec, n)
+    for g in gens:
+        x = vec_add(x, scale(spec.elem([rng.randrange(t) for t in spec.factors]), g))
+    return x
+
+
+def test_route_pairs_on_large_moduli_and_product_rings():
+    # on every ring of LARGE_RINGS, each route against a second one:
+    # pcs_to_code's D and representatives against the form of H^T and
+    # solve_right reduced mod D; its dual against the annihilator of D;
+    # kernel against D plus solve_right's pullbacks of the column pairs'
+    # kernel syndromes; membership of rep_j + d; the round trip; the two
+    # Fourier routes on and off the row span
+    rng = random.Random(1031)
+    seen = Counter()
+    for ring in LARGE_RINGS:
+        for _ in range(40):
+            pcs = random_large_system(rng, ring)
+            spec, n, cols = pcs.spec, pcs.n, pcs.s_cols
+            seen[ring, is_linear(pcs)] += 1
+            pres = pcs_to_code(pcs)
+            d = submodules.left_kernel(spec, submodules.transpose_forms(pcs.h_rows))
+            assert pres.kernel == d == pcs.kernel_module
+            assert pres.representatives == tuple(
+                _remainder(d, solve_right(pcs.h_rows, c)) for c in cols)
+            assert pres._dual == d.annihilator()
+            pairs = [solve_right(pcs.h_rows, vec_sub(cols[l], cols[0]))
+                     for l in pcsmod._kernel_syndromes(pcs)]
+            ker = kernel(pcs)
+            assert ker == Submodule.from_generators(spec, n, d.canonical_generators() + tuple(pairs))
+            assert is_linear(pcs) == (ker.cardinality == pcs.code_cardinality()
+                                      and member(pcs, zero_vec(spec, n)) is not None)
+            gens = d.canonical_generators()
+            for j, rep in enumerate(pres.representatives, 1):
+                for g in gens + (_combination(rng, spec, n, gens),):
+                    assert member(pcs, vec_add(rep, g)) == j
+            back = code_to_pcs(pres)
+            again = pcs_to_code(back)
+            assert (again.kernel, again.representatives) == (pres.kernel, pres.representatives)
+            for x in (_combination(rng, spec, n, pcs.h_rows), random_vec(rng, spec, n)):
+                assert fourier_coeff_pcs(pcs, x) == fourier_coeff_coset(pres, x)
+    assert all(seen[ring, True] and seen[ring, False] for ring in LARGE_RINGS), seen
 
 
 def test_pcs_to_code_recovers_the_cosets(z6_pcs):
@@ -561,7 +620,7 @@ def test_is_linear_needs_no_column_pairs():
 
 def test_kernel_of_a_linear_code_needs_no_column_pairs():
     # the kernel of a linear code is the code: its syndromes are all of
-    # col(S), pulled back through generators, not through 10201^2 pairs
+    # col(S), pulled back by the s columns' a_j, not through 10201^2 pairs
     spec = parse_ring("Z101")
     h = [rv(spec, (1, 0, 0)), rv(spec, (0, 1, 0))]
     whole = [(a, b) for a in range(101) for b in range(101)]
